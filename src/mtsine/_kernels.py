@@ -1,19 +1,16 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Hot numeric kernels, with optional numba acceleration.
 
-Each hot kernel exists in two functionally identical versions: a numba
-``@njit`` build (default when numba imports) and a vectorized pure-numpy
-fallback. Setting the environment variable ``MTSINE_DISABLE_NUMBA`` to
-``1``/``true``/``yes`` before import forces the numpy path; a missing
-numba installation falls back silently. Both paths compute the same
-sums in the same order per output bin, so results agree to floating
-point round-off (see tests/test_kernels.py and benchmarks/). The one
-exception is fixed-width circular smoothing, which is fastest through
-numpy's compiled convolution and therefore has no jitted build.
+The shift-combine kernels and the AR recursion each exist as a numba
+``@njit`` build (default when numba imports) and a vectorized numpy
+fallback. Setting ``MTSINE_DISABLE_NUMBA`` to ``1``/``true``/``yes``
+before import forces the numpy path; a missing numba installation falls
+back silently. Both paths compute the same sums in the same order per
+output bin, so they agree to round-off (see tests/test_kernels.py).
 
-Kernel shape ids used by the smoothing kernels: 0 = box, 1 = parabolic
-(Epanechnikov). Profiles are the unit-mass shapes on [-1, 1]; discrete
-weights are renormalized to sum to one so constants pass through
-unchanged.
+Smoothing has one numpy path, :func:`window_average`, behind
+:func:`smooth_circular` (one halfwidth) and :func:`smooth_variable` (one
+per bin). Kernel ids: 0 = box, 1 = parabolic (Epanechnikov); weights are
+renormalized to sum to one, so constants pass through unchanged.
 """
 
 import os
@@ -26,10 +23,9 @@ __all__ = [
     "combine_shifts_np",
     "variable_k_combine",
     "variable_k_combine_np",
+    "window_average",
     "smooth_circular",
-    "smooth_circular_np",
     "smooth_variable",
-    "smooth_variable_np",
     "ar_recurse",
     "ar_recurse_np",
 ]
@@ -80,7 +76,6 @@ def variable_k_combine_np(y, k_profile, step, n1, parabolic):
 
     ``k_profile[i]`` tapers are averaged at bin i with uniform or
     parabolic weights summing to one; the result carries the
-
     1/(2*(N+1)) scaling with ``n1 = N + 1``.
     """
     m = y.shape[0]
@@ -102,47 +97,6 @@ def variable_k_combine_np(y, k_profile, step, n1, parabolic):
             out[sel] = c * (c1[sel] - c2[sel] / (j * j)) / (2.0 * n1)
         else:
             out[sel] = c1[sel] / (2.0 * n1 * j)
-    return out
-
-
-def smooth_circular_np(values, weights):
-    """Circular convolution with a short symmetric weight vector.
-
-    Always the production path: numpy's compiled convolution beats a
-    jitted index loop here, so this kernel has no numba build.
-    """
-    half = (weights.shape[0] - 1) // 2
-    ext = np.concatenate([values[-half:], values, values[:half]])
-    return np.convolve(ext, weights[::-1], mode="valid")
-
-
-def _discrete_weights(half_bins, kernel_id):
-    j = np.arange(-half_bins, half_bins + 1, dtype=np.float64)
-    if kernel_id == KERNEL_BOX:
-        raw = np.full(j.shape, 0.5)
-    else:
-        u = j / half_bins
-        raw = 0.75 * (1.0 - u * u)
-    return raw / raw.sum()
-
-
-def smooth_variable_np(values, half_bins, kernel_id):
-    """Per-bin circular smoothing with bin-dependent halfwidths.
-
-    ``half_bins[i]`` grid bins on each side of bin i; groups bins that
-    share a halfwidth and convolves each group's window once.
-    """
-    m = values.shape[0]
-    out = np.empty(m)
-    for hb in np.unique(half_bins):
-        sel = half_bins == hb
-        wts = _discrete_weights(int(hb), kernel_id)
-        pad = np.zeros(m)
-        half = int(hb)
-        pad[: half + 1] = wts[half:]
-        pad[m - half:] = wts[:half]
-        sm = np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(pad), m)
-        out[sel] = sm[sel]
     return out
 
 
@@ -205,25 +159,6 @@ if NUMBA_ENABLED:
                 out[i] = c1 / (2.0 * n1 * k)
         return out
 
-    @njit(cache=True, parallel=True)
-    def _smooth_variable_nb(values, half_bins, kernel_id):
-        m = values.shape[0]
-        out = np.empty(m)
-        for i in prange(m):
-            hb = half_bins[i]
-            wsum = 0.0
-            acc = 0.0
-            for j in range(-hb, hb + 1):
-                if kernel_id == 0:
-                    w = 0.5
-                else:
-                    u = j / hb
-                    w = 0.75 * (1.0 - u * u)
-                wsum += w
-                acc += w * values[(i + j) % m]
-            out[i] = acc / wsum
-        return out
-
     @njit(cache=True)
     def _ar_recurse_nb(innovations, coeffs):
         n = innovations.shape[0]
@@ -268,23 +203,87 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
     return variable_k_combine_np(y, k_profile, int(step), float(n1), bool(parabolic))
 
 
-def smooth_circular(values, weights):
-    return smooth_circular_np(_f64(values), _f64(weights))
-
-
-def smooth_variable(values, half_bins, kernel_id):
-    values = _f64(values)
-    half_bins = np.ascontiguousarray(half_bins, dtype=np.int64)
-    if half_bins.min() < 1:
-        raise ValueError("smoothing halfwidth must cover at least one grid bin")
-    if NUMBA_ENABLED:
-        return _smooth_variable_nb(values, half_bins, int(kernel_id))
-    return smooth_variable_np(values, half_bins, int(kernel_id))
-
-
 def ar_recurse(innovations, coeffs):
     innovations = _f64(innovations)
     coeffs = _f64(coeffs)
     if NUMBA_ENABLED:
         return _ar_recurse_nb(innovations, coeffs)
     return ar_recurse_np(innovations, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# smoothing: one numpy path for fixed and per-bin halfwidths
+# ---------------------------------------------------------------------------
+
+def window_average(values, half_bins, scale, kernel_id):
+    """Circular weighted average over a window of its own width at each bin.
+
+    ``out[i] = sum_j w_ij v[(i + j) % m] / sum_j w_ij`` for
+    ``|j| <= h_i = half_bins[i]``, with ``w_ij = 1`` (box) or
+    ``1 - (j / s_i)^2`` (parabolic), ``s_i`` from ``scale`` (scalar or per bin).
+
+    Window sums of v, c*v and c^2*v come from cumulative sums along short
+    rows about each row's centre, never about a global origin, whose
+    cancellation would lose digits. Bins with h in [2^k, 2^(k+1)) use rows
+    of 4 * 2^k bins: a window lies in at most two rows, and moments shift
+    by less than about 3h. Only rows that some window reaches are summed:
+    O(m) work for a smooth halfwidth profile, O(m log m) at worst.
+    """
+    m = values.shape[0]
+    if half_bins.min() < 1:
+        raise ValueError("smoothing halfwidth must cover at least one grid bin")
+    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (m,))
+    octave = np.frexp(half_bins)[1] - 1
+    out = np.empty(m)
+    for k in np.flatnonzero(np.bincount(octave)):
+        size = 4 << int(k)
+        bins = np.flatnonzero(octave == k)
+        h = half_bins[bins]
+        width = 2 * h + 1
+        # rows are counted from bin -size, so window i-h..i+h starts at
+        # column lo of row `row` and ends in that row or the next
+        row, lo = np.divmod(bins - h + size, size)
+        used = np.zeros(row.max() + 2, dtype=bool)
+        used[row] = used[row + 1] = True
+        rows = np.flatnonzero(used)
+        first = (np.cumsum(used)[row] - 1) * (size + 1)
+        hi = np.minimum(lo + width, size)
+        # prefix positions in `acc` (rows of size + 1, column 0 zero) and the
+        # offset of each row's centre from the window's bin
+        start = np.stack([first + lo, first + size + 1])
+        stop = np.stack([first + hi, start[1] + lo + width - hi])
+        shift = size // 2 - h - lo + np.array([[0], [size]])
+        seg = values.take(rows[:, None] * size + np.arange(size) - size, mode="wrap")
+        col = np.arange(size) - size / 2.0
+        acc = np.zeros((rows.size, size + 1))
+        flat, sums = acc.ravel(), []
+        for p in range(1 if kernel_id == KERNEL_BOX else 3):
+            np.multiply(seg, col**p, out=acc[:, 1:])
+            np.cumsum(acc[:, 1:], axis=1, out=acc[:, 1:])
+            sums.append(flat[stop] - flat[start])
+        s0 = sums[0].sum(axis=0)
+        if kernel_id == KERNEL_BOX:
+            out[bins] = s0 / width
+            continue
+        s2 = (sums[2] + shift * (2.0 * sums[1] + shift * sums[0])).sum(axis=0)
+        s = scale[bins]
+        norm = width - h * (h + 1.0) * width / (3.0 * s * s)
+        out[bins] = (s0 - s2 / (s * s)) / norm
+    return out
+
+
+def smooth_circular(values, scale, kernel_id):
+    """Smooth with one halfwidth: the kernel stretched over ``scale`` bins.
+
+    ``scale`` need not be whole; the window covers ``floor(scale)`` bins
+    on each side.
+    """
+    values = _f64(values)
+    half = np.full(values.shape, np.floor(scale), dtype=np.int64)
+    return window_average(values, half, float(scale), int(kernel_id))
+
+
+def smooth_variable(values, half_bins, kernel_id):
+    """Smooth with ``half_bins[i]`` whole bins on each side of bin i."""
+    half_bins = np.ascontiguousarray(half_bins, dtype=np.int64)
+    return window_average(_f64(values), half_bins, half_bins, int(kernel_id))

@@ -106,28 +106,19 @@ def log_multitaper(series, k_count, grid=None, correction="full"):
     return SpectralEstimate(est.grid, values, k_count, est.weights, scale="log")
 
 
-def _grid_weights(kernel, w, m):
-    half = int(math.floor(w * m))
-    if half < 1:
-        raise ValueError(
-            f"halfwidth {w} is below one grid step 1/{m}; widen the kernel"
-        )
-    raw = kernel.profile(np.arange(-half, half + 1) / (w * m))
-    return raw / raw.sum()
-
-
 def kernel_smooth(values, kernel, w, grid):
     """Circularly smooth grid values with a kernel of halfwidth ``w``.
 
     Discrete weights are the kernel profile sampled at the grid offsets
-    and renormalized to unit mass, so constants are preserved exactly.
+    within ``w`` and renormalized to unit mass, so constants are preserved
+    exactly. The halfwidth must cover at least one grid step.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape != (grid.m,):
         raise ValueError("values must have one entry per grid bin")
     if not 0.0 < w <= 0.5:
         raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
-    return _kernels.smooth_circular(values, _grid_weights(kernel, w, grid.m))
+    return _kernels.smooth_circular(values, w * grid.m, kernel.kernel_id)
 
 
 def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
@@ -246,7 +237,7 @@ def _pilot_derivatives(series, config, grid):
             raise ValueError("pilot estimate has no finite bins")
         theta = np.where(np.isfinite(theta), theta, finite.min())
     smooth = _kernels.smooth_circular(
-        theta, _grid_weights(config.kernel, config.curvature_halfwidth, grid.m)
+        theta, config.curvature_halfwidth * grid.m, config.kernel.kernel_id
     )
     h = _DIFF_STEP_BINS / grid.m
     up = np.roll(smooth, -_DIFF_STEP_BINS)

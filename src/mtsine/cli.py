@@ -20,7 +20,7 @@ from .metrics import (
     concentration_table,
     convergence_table,
 )
-from .quadratic import table4_decomposition, table4_experiment
+from .quadratic import table4_decomposition, tabulate_table4
 from .synth import ProcessSpec, generate, true_spectrum
 from .tapers import minimum_bias_family, sinusoidal_family, slepian_family, spectral_window
 
@@ -174,26 +174,28 @@ def cmd_adaptive(args):
     return 0
 
 
+# series length per table when --n is not given
+TABLE_N = {2: 50, 3: 50, 4: 200}
+
+
 def cmd_tables(args):
+    n = TABLE_N.get(args.which) if args.n is None else args.n
     if args.which == 1:
         sizes = [int(s) for s in args.sizes.split(",")]
         table = convergence_table(sizes)
         rows = _table_rows(table, "n")
     elif args.which == 2:
         ws = [float(w) for w in args.slepian_ws.split(",")]
-        table = bias_table(args.n, args.k_max, ws)
+        table = bias_table(n, args.k_max, ws)
         rows = _table_rows(table, "K")
     elif args.which == 3:
-        table = concentration_table(args.n, args.w, args.k_max)
+        table = concentration_table(n, args.w, args.k_max)
         rows = _table_rows(table, "k")
     else:
-        n = args.n if args.n != 50 else 200
-        table = table4_experiment(
-            n=n, taper_fraction=args.taper_fraction, w=args.kernel_w
-        )
+        weights, fam = table4_decomposition(n, args.taper_fraction, w=args.kernel_w)
+        table = tabulate_table4(weights, fam)
         rows = _table_rows(table, "k")
         if args.vectors_out:
-            _, fam = table4_decomposition(n, args.taper_fraction, w=args.kernel_w)
             k_cols = min(fam.k_count, len(table.row_labels))
             _write_rows(
                 args.vectors_out,
@@ -305,7 +307,8 @@ def build_parser():
 
     p = sub.add_parser("tables", help="reproduce the comparison tables")
     p.add_argument("--which", type=int, required=True, choices=[1, 2, 3, 4])
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=int,
+                   help="series length (default 50 for tables 2 and 3, 200 for table 4)")
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--w", type=float, default=0.08, help="table 3 halfwidth")
     p.add_argument("--slepian-ws", default="0.04,0.08,0.16",
@@ -354,6 +357,9 @@ def main(argv=None):
         return USAGE_ERROR
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERIC_ERROR
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 
 

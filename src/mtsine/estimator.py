@@ -53,7 +53,9 @@ class SpectralEstimate:
 
     ``values`` are power per unit frequency on the linear scale and
     log-power when ``scale == "log"``; ``k_used`` is the taper count,
-    either a single integer or one integer per grid bin.
+    either a single integer or one integer per grid bin. Linear-scale
+    values must be finite (``FloatingPointError`` otherwise: the input
+    overflowed the estimate) and nonnegative.
     """
 
     grid: FrequencyGrid
@@ -69,6 +71,10 @@ class SpectralEstimate:
             raise ValueError("values must have one entry per grid bin")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"unknown scale {self.scale!r}")
+        if self.scale == "linear" and not np.all(np.isfinite(vals)):
+            raise FloatingPointError(
+                "spectral estimate overflowed: linear-scale values must be finite"
+            )
         if self.scale == "linear" and np.any(vals < 0):
             raise ValueError("linear-scale spectral values must be nonnegative")
         vals.flags.writeable = False

@@ -179,15 +179,14 @@ def table4_decomposition(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01)
     return mu / np.trace(smoothed.matrix), family
 
 
-def table4_experiment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01,
-                      k_rows=7):
-    """Tabulate ``table4_decomposition``.
+def tabulate_table4(weights, family, k_rows=7):
+    """Tabulate a ``table4_decomposition`` result.
 
     Each row k reports the eigenvalue weight (relative to the trace),
     the normalized local bias of the k-th eigenvector, and its ratio to
     the minimum-bias taper's value at the same index.
     """
-    weights, family = table4_decomposition(n, taper_fraction, kernel, w)
+    n = family.n
     if family.k_count < k_rows:  # pragma: no cover
         k_rows = family.k_count
     norm = bias_normalization(n)
@@ -199,6 +198,13 @@ def table4_experiment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01,
         ("weight", "normalized_local_bias", "mb_bias_ratio"),
         vals,
     )
+
+
+def table4_experiment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01,
+                      k_rows=7):
+    """Decompose and tabulate Table 4 (see ``tabulate_table4``)."""
+    weights, family = table4_decomposition(n, taper_fraction, kernel, w)
+    return tabulate_table4(weights, family, k_rows)
 
 
 def first_eigenvector_alignment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mtsine import sinusoidal_taper
+from mtsine import cli, sinusoidal_taper, table4_experiment
 from mtsine.cli import main
 
 
@@ -77,6 +77,26 @@ class TestExitCodes:
         bad.write_text("1.0\nnot-a-number\n")
         assert run(["estimate", "--input", bad, "--k", "2"]) == 2
 
+    def test_overflowing_estimate_exits_three(self, tmp_path, capsys):
+        series = tmp_path / "x.csv"
+        series.write_text("0.5\n" * 100 + "1e300\n" + "-0.25\n" * 155)
+        out = tmp_path / "est.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["estimate", "--input", series, "--k", "4", "--out", out])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 24.3 GiB")
+
+        monkeypatch.setattr(cli, "two_stage_log_estimate", no_memory)
+        series = tmp_path / "x.csv"
+        run(["synth", "--model", "white", "--n", "64", "--out", series])
+        assert run(["adaptive", "--input", series, "--out", tmp_path / "ad.csv"]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
@@ -139,11 +159,22 @@ class TestTablesCommand:
         assert header == ["k", "weight", "normalized_local_bias", "mb_bias_ratio"]
         assert len(rows) == 7
 
+    def test_table4_honours_n(self, tmp_path):
+        out = tmp_path / "t4.csv"
+        assert run(["tables", "--which", "4", "--n", "50", "--out", out]) == 0
+        _, rows = read_csv(out)
+        got = np.array([[float(c) for c in row[1:]] for row in rows])
+        assert np.array_equal(got, table4_experiment(n=50).values)
+        assert got[0, 0] != pytest.approx(table4_experiment(n=200).values[0, 0])
+
     def test_table4_eigenvector_dump(self, tmp_path):
         out = tmp_path / "t4.csv"
         vecs = tmp_path / "vecs.csv"
         assert run(["tables", "--which", "4", "--out", out,
                     "--vectors-out", vecs]) == 0
+        plain = tmp_path / "t4_plain.csv"
+        assert run(["tables", "--which", "4", "--out", plain]) == 0
+        assert out.read_bytes() == plain.read_bytes()
         header, rows = read_csv(vecs)
         assert header[0] == "n" and len(header) == 8
         mat = np.array([[float(c) for c in row[1:]] for row in rows])

@@ -1,181 +1,28 @@
-"""Hot numeric kernels, with optional numba acceleration.
+"""Hot numeric kernels, all plain numpy.
 
-The shift-combine kernels and the AR recursion each exist as a numba
-``@njit`` build (default when numba imports) and a vectorized numpy
-fallback. Setting ``MTSINE_DISABLE_NUMBA`` to ``1``/``true``/``yes``
-before import forces the numpy path; a missing numba installation falls
-back silently. Both paths compute the same sums in the same order per
-output bin, so they agree to round-off (see tests/test_kernels.py).
-
-Smoothing has one numpy path, :func:`window_average`, behind
-:func:`smooth_circular` (one halfwidth) and :func:`smooth_variable` (one
-per bin). Kernel ids: 0 = box, 1 = parabolic (Epanechnikov); weights are
-renormalized to sum to one, so constants pass through unchanged.
+The shift combines (:func:`combine_shifts`, :func:`variable_k_combine`)
+loop over the K shifts with one vectorized pass over the grid each, and
+:func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
+one primitive, :func:`window_average`, behind :func:`smooth_circular`
+(one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
+0 = box, 1 = parabolic (Epanechnikov); weights are renormalized to sum
+to one, so constants pass through unchanged.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "combine_shifts",
-    "combine_shifts_np",
     "variable_k_combine",
-    "variable_k_combine_np",
     "window_average",
     "smooth_circular",
     "smooth_variable",
     "ar_recurse",
-    "ar_recurse_np",
 ]
 
 KERNEL_BOX = 0
 KERNEL_PARABOLIC = 1
 
-_disabled = os.environ.get("MTSINE_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-if not _disabled:
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (always defined; the benchmark imports these)
-# ---------------------------------------------------------------------------
-
-def combine_shifts_np(y, weights, step):
-    """Weighted sum over shift pairs: sum_j w_j |y[i+j*step] - y[i-j*step]|^2.
-
-    y is the complex transform on the full circular grid; j runs from 1
-    to len(weights).
-    """
-    est = np.zeros(y.shape[0])
-    for j in range(1, weights.shape[0] + 1):
-        d = np.roll(y, -j * step) - np.roll(y, j * step)
-        est += weights[j - 1] * (d.real * d.real + d.imag * d.imag)
-    return est
-
-
-def _parabolic_norm(k):
-    # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1 (degenerate, handled upstream)
-    return k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
-
-
-def variable_k_combine_np(y, k_profile, step, n1, parabolic):
-    """Per-bin taper-count combine of shifted-transform differences.
-
-    ``k_profile[i]`` tapers are averaged at bin i with uniform or
-    parabolic weights summing to one; the result carries the
-    1/(2*(N+1)) scaling with ``n1 = N + 1``.
-    """
-    m = y.shape[0]
-    kmax = int(k_profile.max())
-    c1 = np.zeros(m)
-    c2 = np.zeros(m)
-    out = np.zeros(m)
-    for j in range(1, kmax + 1):
-        d = np.roll(y, -j * step) - np.roll(y, j * step)
-        p = d.real * d.real + d.imag * d.imag
-        c1 += p
-        if parabolic:
-            c2 += (j * j) * p
-        sel = k_profile == j
-        if not sel.any():
-            continue
-        if parabolic and j > 1:
-            c = 1.0 / _parabolic_norm(j)
-            out[sel] = c * (c1[sel] - c2[sel] / (j * j)) / (2.0 * n1)
-        else:
-            out[sel] = c1[sel] / (2.0 * n1 * j)
-    return out
-
-
-def ar_recurse_np(innovations, coeffs):
-    """Autoregressive recursion x[i] = e[i] + sum_p a_p x[i-1-p]."""
-    n = innovations.shape[0]
-    p = coeffs.shape[0]
-    x = np.empty(n)
-    for i in range(n):
-        acc = innovations[i]
-        for q in range(min(p, i)):
-            acc += coeffs[q] * x[i - 1 - q]
-        x[i] = acc
-    return x
-
-
-# ---------------------------------------------------------------------------
-# numba builds
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _combine_shifts_nb(y, weights, step):
-        m = y.shape[0]
-        k = weights.shape[0]
-        est = np.empty(m)
-        for i in prange(m):
-            acc = 0.0
-            for j in range(1, k + 1):
-                up = y[(i + j * step) % m]
-                dn = y[(i - j * step) % m]
-                dr = up.real - dn.real
-                di = up.imag - dn.imag
-                acc += weights[j - 1] * (dr * dr + di * di)
-            est[i] = acc
-        return est
-
-    @njit(cache=True, parallel=True)
-    def _variable_k_combine_nb(y, k_profile, step, n1, parabolic):
-        m = y.shape[0]
-        out = np.empty(m)
-        for i in prange(m):
-            k = k_profile[i]
-            c1 = 0.0
-            c2 = 0.0
-            for j in range(1, k + 1):
-                up = y[(i + j * step) % m]
-                dn = y[(i - j * step) % m]
-                dr = up.real - dn.real
-                di = up.imag - dn.imag
-                p = dr * dr + di * di
-                c1 += p
-                if parabolic:
-                    c2 += (j * j) * p
-            if parabolic and k > 1:
-                norm = k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
-                out[i] = (c1 - c2 / (k * k)) / norm / (2.0 * n1)
-            else:
-                out[i] = c1 / (2.0 * n1 * k)
-        return out
-
-    @njit(cache=True)
-    def _ar_recurse_nb(innovations, coeffs):
-        n = innovations.shape[0]
-        p = coeffs.shape[0]
-        x = np.empty(n)
-        for i in range(n):
-            acc = innovations[i]
-            top = p if p < i else i
-            for q in range(top):
-                acc += coeffs[q] * x[i - 1 - q]
-            x[i] = acc
-        return x
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
 
 def _c128(a):
     return np.ascontiguousarray(a, dtype=np.complex128)
@@ -185,30 +32,80 @@ def _f64(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
+# ---------------------------------------------------------------------------
+# shift combines and the AR recursion
+# ---------------------------------------------------------------------------
+
 def combine_shifts(y, weights, step):
+    """Weighted sum over shift pairs: sum_j w_j |y[i+j*step] - y[i-j*step]|^2.
+
+    y is the complex transform on the full circular grid; j runs from 1
+    to len(weights). A transform too large to square gives inf (or nan)
+    without a warning; the caller's estimate reports it.
+    """
     y = _c128(y)
     weights = _f64(weights)
-    if NUMBA_ENABLED:
-        return _combine_shifts_nb(y, weights, int(step))
-    return combine_shifts_np(y, weights, int(step))
+    step = int(step)
+    est = np.zeros(y.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, weights.shape[0] + 1):
+            d = np.roll(y, -j * step) - np.roll(y, j * step)
+            est += weights[j - 1] * (d.real * d.real + d.imag * d.imag)
+    return est
+
+
+def _parabolic_norm(k):
+    # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1 (degenerate, handled upstream)
+    return k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
 
 
 def variable_k_combine(y, k_profile, step, n1, parabolic):
+    """Per-bin taper-count combine of shifted-transform differences.
+
+    ``k_profile[i]`` tapers are averaged at bin i with uniform or
+    parabolic weights summing to one; the result carries the
+    1/(2*(N+1)) scaling with ``n1 = N + 1``. Overflow gives inf (or nan)
+    without a warning, as in :func:`combine_shifts`.
+    """
     y = _c128(y)
     k_profile = np.ascontiguousarray(k_profile, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _variable_k_combine_nb(
-            y, k_profile, int(step), float(n1), bool(parabolic)
-        )
-    return variable_k_combine_np(y, k_profile, int(step), float(n1), bool(parabolic))
+    step, n1 = int(step), float(n1)
+    m = y.shape[0]
+    kmax = int(k_profile.max())
+    c1 = np.zeros(m)
+    c2 = np.zeros(m)
+    out = np.zeros(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, kmax + 1):
+            d = np.roll(y, -j * step) - np.roll(y, j * step)
+            p = d.real * d.real + d.imag * d.imag
+            c1 += p
+            if parabolic:
+                c2 += (j * j) * p
+            sel = k_profile == j
+            if not sel.any():
+                continue
+            if parabolic and j > 1:
+                c = 1.0 / _parabolic_norm(j)
+                out[sel] = c * (c1[sel] - c2[sel] / (j * j)) / (2.0 * n1)
+            else:
+                out[sel] = c1[sel] / (2.0 * n1 * j)
+    return out
 
 
 def ar_recurse(innovations, coeffs):
+    """Autoregressive recursion x[i] = e[i] + sum_p a_p x[i-1-p]."""
     innovations = _f64(innovations)
     coeffs = _f64(coeffs)
-    if NUMBA_ENABLED:
-        return _ar_recurse_nb(innovations, coeffs)
-    return ar_recurse_np(innovations, coeffs)
+    n = innovations.shape[0]
+    p = coeffs.shape[0]
+    x = np.empty(n)
+    for i in range(n):
+        acc = innovations[i]
+        for q in range(min(p, i)):
+            acc += coeffs[q] * x[i - 1 - q]
+        x[i] = acc
+    return x
 
 
 # ---------------------------------------------------------------------------

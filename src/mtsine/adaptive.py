@@ -292,14 +292,30 @@ def variable_k_estimate(series, k_profile, weights_kind="uniform", grid=None):
     )
 
 
+# elements copied per block of the moving median: bounds its working memory
+_MEDIAN_BLOCK = 1 << 20
+
+
+def _circular_median(values, width):
+    """Median over the circular window of odd ``width`` centred at each bin.
+
+    ``np.median`` copies the windows it reads, so they are taken a block
+    of about ``_MEDIAN_BLOCK`` elements at a time rather than all m * width.
+    """
+    half = width // 2
+    ext = np.concatenate([values[-half:], values, values[:half]])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, width)
+    rows = max(1, _MEDIAN_BLOCK // width)
+    return np.concatenate(
+        [np.median(windows[i : i + rows], axis=1) for i in range(0, len(windows), rows)]
+    )
+
+
 def _smooth_k_profile(k_raw, config, grid, n):
     """Moving median over twice the pilot halfwidth, then re-clamp."""
     width = int(round(config.pilot_k * grid.m / n))
     width = max(3, width + (width + 1) % 2)
-    half = width // 2
-    ext = np.concatenate([k_raw[-half:], k_raw, k_raw[:half]])
-    windows = np.lib.stride_tricks.sliding_window_view(ext, width)
-    prof = np.median(windows, axis=1).astype(np.int64)
+    prof = _circular_median(k_raw, width).astype(np.int64)
     return np.clip(prof, config.k_min, config.k_max)
 
 

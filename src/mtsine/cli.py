@@ -8,6 +8,7 @@ for usage or input problems, 3 for numerical failures.
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,8 +232,23 @@ def cmd_synth(args):
 
 
 def _read_truth(path, grid):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            # a file with no rows is reported below, not as a numpy warning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise OSError(f"cannot read truth {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"truth {path} is not f,value rows of decimals: {exc}") from exc
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise ValueError(
+            f"truth {path} must hold a header and at least one f,value row, "
+            f"got {data.shape[0]} rows of {data.shape[1]} columns"
+        )
     f, v = data[:, 0], data[:, 1]
+    if not (np.all(np.isfinite(data)) and np.all(v > 0)):
+        raise ValueError(f"truth {path} must hold finite frequencies and positive finite values")
     order = np.argsort(f)
     return np.interp(np.abs(grid.frequencies), f[order], v[order])
 

@@ -250,6 +250,23 @@ class TestVariableK:
             variable_k_estimate(np.ones(16), np.ones(5, dtype=int))
 
 
+class TestKProfileMedian:
+    @pytest.mark.parametrize("profile", ["random", "random_walk"])
+    def test_blocked_median_matches_one_shot(self, profile):
+        from mtsine.adaptive import _MEDIAN_BLOCK, _circular_median
+
+        m, width = 4100, 513
+        assert m * width > 2 * _MEDIAN_BLOCK  # at least three blocks, one partial
+        if profile == "random":
+            k = rng.integers(4, 200, size=m)
+        else:
+            k = 100 + np.cumsum(rng.integers(-3, 4, size=m))
+        half = width // 2
+        ext = np.concatenate([k[-half:], k, k[:half]])
+        ref = np.median(np.lib.stride_tricks.sliding_window_view(ext, width), axis=1)
+        assert np.array_equal(_circular_median(k, width), ref)
+
+
 class TestTwoStage:
     def test_white_noise_hits_k_max(self):
         x = generate(ProcessSpec.white(1.0, seed=3), 1024)

@@ -77,14 +77,17 @@ class TestExitCodes:
         bad.write_text("1.0\nnot-a-number\n")
         assert run(["estimate", "--input", bad, "--k", "2"]) == 2
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_estimate_exits_three(self, tmp_path, capsys):
+        # any numpy warning on the way would raise here instead of exiting 3
         series = tmp_path / "x.csv"
         series.write_text("0.5\n" * 100 + "1e300\n" + "-0.25\n" * 155)
         out = tmp_path / "est.csv"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(["estimate", "--input", series, "--k", "4", "--out", out])
+        code = run(["estimate", "--input", series, "--k", "4", "--out", out])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
@@ -213,3 +216,22 @@ class TestCompareCommand:
         assert [r[0] for r in rows] == ["fixed_k", "fixed_k", "adaptive"]
         errs = [float(r[2]) for r in rows]
         assert all(e > 0 for e in errs)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("f\n0.0\n0.25\n0.5\n", id="one_column"),
+            pytest.param("f,value\n", id="header_only"),
+            pytest.param("f,value\n0.0,1.0\n0.25,0.0\n0.5,2.0\n", id="zero_value"),
+        ],
+    )
+    def test_rejects_bad_truth(self, tmp_path, capsys, text):
+        series = tmp_path / "x.csv"
+        run(["synth", "--model", "white", "--n", "64", "--out", series])
+        truth = tmp_path / "truth.csv"
+        truth.write_text(text)
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--input", series, "--truth", truth, "--out", out]) == 2
+        assert "truth.csv" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtsine import (
     FrequencyGrid,
@@ -213,3 +216,49 @@ class TestKOpt:
         argmin = int(np.argmin(losses)) + 1
         raw = (12.0 * n * n / s2) ** 0.4
         assert abs(argmin - round(raw)) <= 1
+
+
+finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+series = hnp.arrays(np.float64, st.integers(2, 64), elements=finite)
+
+
+def assert_close(got, ref):
+    # round-off relative to the largest value; the floor keeps underflowing
+    # series comparable
+    assert np.max(np.abs(got - ref)) <= 1e-10 * max(ref.max(), 1e-300)
+
+
+@st.composite
+def series_and_k(draw):
+    x = draw(series)
+    return x, draw(st.integers(1, x.shape[0]))
+
+
+class TestFastPathProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_k(), st.sampled_from(["uniform", "parabolic"]))
+    def test_equals_generic_estimate(self, data, kind):
+        x, k = data
+        w = make_weights(kind, k)
+        fast = sinusoidal_estimate_fast(x, k, w)
+        slow = multitaper_estimate(x, sinusoidal_family(x.shape[0], k), w)
+        assert_close(fast.values, slow.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_k(), st.floats(-1e3, 1e3).filter(lambda c: abs(c) >= 1e-3))
+    def test_scales_with_square_of_amplitude(self, data, c):
+        x, k = data
+        base = sinusoidal_estimate_fast(x, k).values
+        assert_close(sinusoidal_estimate_fast(c * x, k).values, c * c * base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_k())
+    def test_invariant_under_time_reversal(self, data):
+        # each sine taper is symmetric or antisymmetric about the centre, so
+        # reversing the series conjugates each eigenspectrum's transform up to
+        # a phase and a sign
+        x, k = data
+        assert_close(
+            sinusoidal_estimate_fast(x[::-1], k).values,
+            sinusoidal_estimate_fast(x, k).values,
+        )

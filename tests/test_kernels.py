@@ -1,13 +1,9 @@
-"""Kernel checks: the smoother against a direct sum, numba against numpy.
+"""Kernel checks: the smoother against a direct sum.
 
-The smoother has one numpy path and is always checked. The numba and
-numpy paths of the other kernels must agree to round-off; those
-comparisons run only where numba imports.
+The shift combines and the AR recursion are pinned through their
+callers (tests/test_adaptive.py, tests/test_estimator.py and
+tests/test_synth.py).
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,10 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtsine import _kernels
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba path disabled; nothing to compare"
-)
 
 rng = np.random.default_rng(91)
 
@@ -126,48 +118,3 @@ def test_fixed_scale_matches_direct_sum(values, scale, kernel_id):
     half = np.full(values.shape[0], int(np.floor(scale)))
     assert_close_to_direct(got, values, half, scale, kernel_id)
 
-
-def _transform(m):
-    x = rng.standard_normal(m // 4)
-    return np.fft.fft(x, m) * np.exp(-2j * np.pi * np.arange(m) / m)
-
-
-@needs_numba
-def test_combine_shifts_matches_numpy():
-    y = _transform(520)
-    w = rng.random(12)
-    a = _kernels.combine_shifts(y, w, 2)
-    b = _kernels.combine_shifts_np(y, w, 2)
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-@needs_numba
-@pytest.mark.parametrize("parabolic", [False, True])
-def test_variable_k_combine_matches_numpy(parabolic):
-    y = _transform(520)
-    prof = rng.integers(1, 40, size=520)
-    a = _kernels.variable_k_combine(y, prof, 2, 130.0, parabolic)
-    b = _kernels.variable_k_combine_np(y, prof.astype(np.int64), 2, 130.0, parabolic)
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-@needs_numba
-def test_ar_recurse_matches_numpy():
-    e = rng.standard_normal(3000)
-    coeffs = np.array([0.6, -0.3, 0.05])
-    a = _kernels.ar_recurse(e, coeffs)
-    b = _kernels.ar_recurse_np(e, coeffs)
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-@needs_numba
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, MTSINE_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from mtsine import _kernels; print(_kernels.NUMBA_ENABLED)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"

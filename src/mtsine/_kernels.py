@@ -1,7 +1,9 @@
 """Hot numeric kernels, all plain numpy.
 
-The shift combines (:func:`combine_shifts`, :func:`variable_k_combine`)
-loop over the K shifts with one vectorized pass over the grid each, and
+The shift combines have one primitive, :func:`_shift_sums`, behind
+:func:`combine_shifts` (one taper count, any weights) and
+:func:`variable_k_combine` (one taper count per bin): a single loop over
+the shifts, each taking only the bins whose count reaches it.
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
@@ -36,26 +38,56 @@ def _f64(a):
 # shift combines and the AR recursion
 # ---------------------------------------------------------------------------
 
+def _shift_sums(y, step, k, g):
+    """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``.
+
+    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid, read
+    from one copy of y padded by k_max * step on each side. A scalar K
+    takes every bin at every shift, as slices. A per-bin K sorts the bins
+    by decreasing K once and keeps the accumulators in that order, so
+    shift j gathers only the prefix of bins with K >= j: the work is
+    sum_i K_i rather than m * k_max. Overflow gives inf (or nan) without
+    a warning; the caller's estimate reports it.
+    """
+    m = y.shape[0]
+    per_bin = np.ndim(k) > 0
+    k_max = int(np.max(k))
+    pad = k_max * step
+    ypad = np.pad(y, pad, mode="wrap")
+    if per_bin:
+        order = np.argsort(-k, kind="stable")
+        # active[j] = number of bins with K >= j
+        active = np.cumsum(np.bincount(k, minlength=k_max + 1)[::-1])[::-1]
+    sums = np.zeros((g.shape[0], m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, k_max + 1):
+            s = j * step
+            if per_bin:
+                a = active[j]
+                d = ypad.take(order[:a] + (pad + s)) - ypad.take(order[:a] + (pad - s))
+            else:
+                a = m
+                d = ypad[pad + s : pad + s + m] - ypad[pad - s : pad - s + m]
+            p = d.real * d.real
+            p += d.imag * d.imag
+            sums[:, :a] += g[:, j - 1 : j] * p
+    if per_bin:
+        sums[:, order] = sums.copy()
+    return sums
+
+
 def combine_shifts(y, weights, step):
     """Weighted sum over shift pairs: sum_j w_j |y[i+j*step] - y[i-j*step]|^2.
 
     y is the complex transform on the full circular grid; j runs from 1
-    to len(weights). A transform too large to square gives inf (or nan)
-    without a warning; the caller's estimate reports it.
+    to len(weights).
     """
-    y = _c128(y)
     weights = _f64(weights)
-    step = int(step)
-    est = np.zeros(y.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, weights.shape[0] + 1):
-            d = np.roll(y, -j * step) - np.roll(y, j * step)
-            est += weights[j - 1] * (d.real * d.real + d.imag * d.imag)
-    return est
+    return _shift_sums(_c128(y), int(step), weights.shape[0], weights[None, :])[0]
 
 
 def _parabolic_norm(k):
-    # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1 (degenerate, handled upstream)
+    # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1, which is averaged uniformly
     return k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
 
 
@@ -64,32 +96,19 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
 
     ``k_profile[i]`` tapers are averaged at bin i with uniform or
     parabolic weights summing to one; the result carries the
-    1/(2*(N+1)) scaling with ``n1 = N + 1``. Overflow gives inf (or nan)
-    without a warning, as in :func:`combine_shifts`.
+    1/(2*(N+1)) scaling with ``n1 = N + 1``.
     """
-    y = _c128(y)
-    k_profile = np.ascontiguousarray(k_profile, dtype=np.int64)
-    step, n1 = int(step), float(n1)
-    m = y.shape[0]
-    kmax = int(k_profile.max())
-    c1 = np.zeros(m)
-    c2 = np.zeros(m)
-    out = np.zeros(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, kmax + 1):
-            d = np.roll(y, -j * step) - np.roll(y, j * step)
-            p = d.real * d.real + d.imag * d.imag
-            c1 += p
-            if parabolic:
-                c2 += (j * j) * p
-            sel = k_profile == j
-            if not sel.any():
-                continue
-            if parabolic and j > 1:
-                c = 1.0 / _parabolic_norm(j)
-                out[sel] = c * (c1[sel] - c2[sel] / (j * j)) / (2.0 * n1)
-            else:
-                out[sel] = c1[sel] / (2.0 * n1 * j)
+    k = np.ascontiguousarray(k_profile, dtype=np.int64)
+    j = np.arange(1.0, k.max() + 1.0)
+    g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
+    sums = _shift_sums(_c128(y), int(step), k, g)
+    out = sums[0] / (2.0 * n1 * k)
+    if parabolic:
+        sel = k > 1
+        ks = k[sel]
+        c = 1.0 / _parabolic_norm(ks)
+        with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
+            out[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
     return out
 
 

@@ -14,10 +14,9 @@ import math
 import numpy as np
 
 from . import _kernels
-from .estimator import SpectralEstimate, as_series, dft, make_weights, sinusoidal_estimate_fast
+from .estimator import (SpectralEstimate, as_series, dft, k_opt, make_weights,
+                        sinusoidal_estimate_fast)
 from .grid import FrequencyGrid, default_grid
-
-EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -355,13 +354,7 @@ def two_stage_log_estimate(series, config=None, grid=None):
     # variable_k: optimal count from the pilot level and curvature
     level = np.exp(theta_s)
     curv = (th2 + th1 * th1) * level
-    with np.errstate(divide="ignore"):
-        raw = np.where(
-            np.abs(curv) < 1e-300 * level,
-            float(config.k_max),
-            np.floor((12.0 * level * n * n / np.maximum(np.abs(curv), 1e-300)) ** 0.4 + 0.5),
-        )
-    k_raw = np.clip(raw, config.k_min, config.k_max).astype(np.int64)
+    k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(k_raw, config, grid, n)
     est = variable_k_estimate(x, k_prof, grid=grid)
     b = np.array([log_bias_b(k) for k in range(1, config.k_max + 1)])

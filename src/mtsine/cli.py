@@ -6,6 +6,7 @@ for usage or input problems, 3 for numerical failures.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -33,11 +34,7 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row)
-              for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
@@ -45,14 +42,31 @@ def _write_rows(path, header, rows):
             fh.write(text)
 
 
-def _read_series(path):
+def _write_rows(path, header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row)
+              for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _load_csv(path, what, layout, **kwargs):
+    """``np.loadtxt`` with errors that name the file; a file without rows is
+    reported as such rather than through numpy's "no data" warning."""
     try:
-        data = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, dtype=np.float64, **kwargs)
     except OSError as exc:
-        raise OSError(f"cannot read input {path}: {exc}") from exc
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise ValueError(f"input {path} is not one finite decimal per line: {exc}") from exc
-    return as_series(data)
+        raise ValueError(f"{what} {path} is not {layout}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise ValueError(f"{what} {path} holds no data rows")
+    return data
+
+
+def _read_series(path):
+    return as_series(_load_csv(path, "input", "one finite decimal per line", ndmin=1))
 
 
 def _sidecar(path, suffix):
@@ -62,10 +76,16 @@ def _sidecar(path, suffix):
     return f"{stem}_{suffix}.{ext}"
 
 
-def _half_grid_rows(grid, values, extra=None):
+def _half_grid(grid):
+    """Indices of the bins in [0, 1/2] and their frequencies."""
     idx = grid.nonnegative_indices()
     f = np.abs(grid.frequencies[idx])
     f[-1] = 0.5  # the wrapped -1/2 bin reports as the Nyquist edge
+    return idx, f
+
+
+def _half_grid_rows(grid, values, extra=None):
+    idx, f = _half_grid(grid)
     for pos, i in enumerate(idx):
         row = [_fmt(f[pos]), _fmt(values[i])]
         if extra is not None:
@@ -98,9 +118,7 @@ def cmd_tapers(args):
         return 0
     grid = window_grid(args.n, args.window_oversample)
     windows = [spectral_window(t, grid).power for t in family.tapers]
-    idx = grid.nonnegative_indices()
-    f = np.abs(grid.frequencies[idx])
-    f[-1] = 0.5
+    idx, f = _half_grid(grid)
     _write_rows(
         _sidecar(args.out, "window"),
         ["f"] + [f"k={k}" for k in range(1, family.k_count + 1)],
@@ -126,18 +144,11 @@ def cmd_estimate(args):
     weights = make_weights(args.weights, args.k)
     est = sinusoidal_estimate_fast(x, args.k, weights, grid)
     if args.json:
-        idx = grid.nonnegative_indices()
-        f = np.abs(grid.frequencies[idx])
-        f[-1] = 0.5
+        idx, f = _half_grid(grid)
         payload = est.metadata()
         payload["f"] = [float(v) for v in f]
         payload["value"] = [float(est.values[i]) for i in idx]
-        text = json.dumps(payload, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
         return 0
     _write_rows(args.out, ["f", "value"], _half_grid_rows(grid, est.values))
     return 0
@@ -147,19 +158,12 @@ def cmd_adaptive(args):
     x = _read_series(args.input)
     n = x.shape[0]
     grid = _grid_for(args, n)
-    base = AdaptiveConfig.default_for(n, mode=args.mode)
-
-    def pick(flag, default):
-        return default if flag is None else flag
-
-    config = AdaptiveConfig(
-        pilot_k=pick(args.pilot_k, base.pilot_k),
-        k_min=pick(args.k_min, base.k_min),
-        k_max=pick(args.k_max, base.k_max),
-        curvature_halfwidth=pick(args.curvature_halfwidth, base.curvature_halfwidth),
-        mode=args.mode,
+    flags = ("pilot_k", "k_min", "k_max", "curvature_halfwidth")
+    config = dataclasses.replace(
+        AdaptiveConfig.default_for(n, mode=args.mode),
         kernel=kernel_by_name(args.kernel),
         log_correction=args.correction,
+        **{f: getattr(args, f) for f in flags if getattr(args, f) is not None},
     )
     est = two_stage_log_estimate(x, config, grid)
     k_col = est.k_used if isinstance(est.k_used, np.ndarray) else None
@@ -218,12 +222,7 @@ def cmd_synth(args):
     else:
         spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
     x = generate(spec, args.n)
-    text = "\n".join(_fmt(v) for v in x) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_text(args.out, "\n".join(_fmt(v) for v in x) + "\n")
     if args.truth_out:
         grid = _grid_for(args, args.n)
         truth = true_spectrum(spec, grid)
@@ -232,20 +231,10 @@ def cmd_synth(args):
 
 
 def _read_truth(path, grid):
-    try:
-        with warnings.catch_warnings():
-            # a file with no rows is reported below, not as a numpy warning
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise OSError(f"cannot read truth {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"truth {path} is not f,value rows of decimals: {exc}") from exc
-    if data.shape[0] == 0 or data.shape[1] != 2:
-        raise ValueError(
-            f"truth {path} must hold a header and at least one f,value row, "
-            f"got {data.shape[0]} rows of {data.shape[1]} columns"
-        )
+    data = _load_csv(path, "truth", "f,value rows of decimals",
+                     delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"truth {path} has {data.shape[1]} columns, not f,value")
     f, v = data[:, 0], data[:, 1]
     if not (np.all(np.isfinite(data)) and np.all(v > 0)):
         raise ValueError(f"truth {path} must hold finite frequencies and positive finite values")

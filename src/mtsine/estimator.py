@@ -11,7 +11,6 @@ grids whose size is a multiple of 2*(n+1).
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -214,7 +213,8 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
 
     Rounds (12*s*n^2/|s2|)^(2/5) to the nearest integer (ties toward
     more tapers) and clamps to [k_min, k_max]. A vanishing curvature
-    relative to the level clamps to k_max.
+    relative to the level clamps to k_max. Accepts scalar or array
+    ``s`` and ``s2``: an int for scalars, an int64 array otherwise.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -222,9 +222,13 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
         k_max = n
     if not 1 <= k_min <= k_max <= n:
         raise ValueError(f"need 1 <= k_min <= k_max <= n, got [{k_min}, {k_max}]")
-    if s <= 0:
-        raise ValueError(f"spectral level must be positive, got {s}")
-    if abs(s2) < 1e-300 * s:
-        return k_max
-    raw = (12.0 * s * n * n / abs(s2)) ** 0.4
-    return int(min(max(math.floor(raw + 0.5), k_min), k_max))
+    s = np.asarray(s, dtype=np.float64)
+    s2 = np.abs(np.asarray(s2, dtype=np.float64))
+    if not np.all(s > 0):
+        raise ValueError(f"spectral level must be positive, got {s.min()}")
+    if np.any(np.isnan(s2)):
+        raise ValueError("curvature must not be nan")
+    with np.errstate(over="ignore", divide="ignore"):
+        raw = np.floor((12.0 * s * n * n / s2) ** 0.4 + 0.5)
+    k = np.where(s2 < 1e-300 * s, k_max, np.clip(raw, k_min, k_max)).astype(np.int64)
+    return int(k) if k.ndim == 0 else k

@@ -49,13 +49,13 @@ def _values(taper):
 def local_bias(taper):
     """Frequency-squared energy of the taper's window over the Nyquist band."""
     v = _values(taper)
-    return local_bias_matrix(v.shape[0]).quadratic_form(v)
+    return float(local_bias_matrix(v.shape[0]).quadratic_forms(v[None])[0])
 
 
 def concentration(taper, w):
     """Fraction of window energy inside [-w, w]."""
     v = _values(taper)
-    return concentration_matrix(v.shape[0], w).quadratic_form(v)
+    return float(concentration_matrix(v.shape[0], w).quadratic_forms(v[None])[0])
 
 
 def bias_normalization(n):
@@ -117,15 +117,15 @@ def concentration_table(n, w, k_max):
     """Per-taper concentration in [-w, w] for the three families."""
     if not 1 <= k_max <= n:
         raise ValueError(f"need 1 <= k_max <= n, got k_max={k_max}, n={n}")
-    b = concentration_matrix(n, w).to_dense()
-    rows = {}
-    for label, fam in (
-        ("minimum_bias", minimum_bias_family(n, k_max)),
-        ("sinusoidal", sinusoidal_family(n, k_max)),
-        ("slepian", slepian_family(n, w, k_max)),
-    ):
-        mat = fam.taper_matrix
-        rows[label] = np.einsum("ij,jk,ik->i", mat, b, mat)
+    b = concentration_matrix(n, w)
+    rows = {
+        label: b.quadratic_forms(fam.taper_matrix)
+        for label, fam in (
+            ("minimum_bias", minimum_bias_family(n, k_max)),
+            ("sinusoidal", sinusoidal_family(n, k_max)),
+            ("slepian", slepian_family(n, w, k_max)),
+        )
+    }
     labels = tuple(rows)
     vals = np.column_stack([rows[c] for c in labels])
     return ComparisonTable(tuple(range(1, k_max + 1)), labels, vals)

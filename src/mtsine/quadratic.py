@@ -135,8 +135,7 @@ def quadratic_to_multitaper(q, rank_tolerance=1e-10):
     suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     k = max(1, int(np.argmax(suffix <= budget)))
     mat = np.array([_fix_sign(vec[:, i]) for i in range(k)])
-    a = local_bias_matrix(q.n).to_dense()
-    lam = np.einsum("ij,jk,ik->i", mat, a, mat)
+    lam = local_bias_matrix(q.n).quadratic_forms(mat)
     return mu[:k].copy(), TaperFamily(mat, lam, "custom")
 
 

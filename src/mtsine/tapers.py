@@ -122,9 +122,10 @@ class SymmetricToeplitz:
         idx = np.abs(np.subtract.outer(np.arange(self.n), np.arange(self.n)))
         return self.first_row[idx]
 
-    def quadratic_form(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        return float(v @ self.to_dense() @ v)
+    def quadratic_forms(self, rows):
+        """``r^T A r`` for each row r of ``rows`` (k x n)."""
+        rows = np.asarray(rows, dtype=np.float64)
+        return np.einsum("ij,jk,ik->i", rows, self.to_dense(), rows)
 
 
 @dataclass(frozen=True)
@@ -194,9 +195,7 @@ def sinusoidal_family(n, k_count):
     t = np.arange(1, n + 1)
     k = np.arange(1, k_count + 1)
     mat = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, t) / (n + 1))
-    a = local_bias_matrix(n).to_dense()
-    lam = np.einsum("ij,jk,ik->i", mat, a, mat)
-    return TaperFamily(mat, lam, "sinusoidal")
+    return TaperFamily(mat, local_bias_matrix(n).quadratic_forms(mat), "sinusoidal")
 
 
 def minimum_bias_family(n, k_count):
@@ -231,13 +230,9 @@ def slepian_family(n, w, k_count):
     if not 1 <= k_count <= n:
         raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
     i = np.arange(n, dtype=np.float64)
-    tri = np.zeros((n, n))
-    tri[np.arange(n), np.arange(n)] = ((n - 1 - 2.0 * i) / 2.0) ** 2 * np.cos(
-        2.0 * np.pi * w
-    )
+    diag = ((n - 1 - 2.0 * i) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = i[1:] * (n - i[1:]) / 2.0
-    tri[np.arange(n - 1), np.arange(1, n)] = off
-    tri[np.arange(1, n), np.arange(n - 1)] = off
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
         _, vec = np.linalg.eigh(tri)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -245,8 +240,7 @@ def slepian_family(n, w, k_count):
             f"Slepian tridiagonal eigendecomposition failed for n={n}: {exc}"
         ) from exc
     mat = np.array([_fix_sign(vec[:, n - 1 - i]) for i in range(k_count)])
-    a = local_bias_matrix(n).to_dense()
-    lam = np.einsum("ij,jk,ik->i", mat, a, mat)
+    lam = local_bias_matrix(n).quadratic_forms(mat)
     return TaperFamily(mat, lam, "slepian", bandwidth=float(w))
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtsine import (
     BOX,
@@ -16,6 +19,7 @@ from mtsine import (
     kernel_smooth,
     log_bias_b,
     log_multitaper,
+    make_weights,
     sinusoidal_estimate_fast,
     spectrum_at,
     two_stage_log_estimate,
@@ -248,6 +252,63 @@ class TestVariableK:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             variable_k_estimate(np.ones(16), np.ones(5, dtype=int))
+
+    @pytest.mark.parametrize("weights_kind", ["uniform", "parabolic"])
+    def test_overflow_raises_without_warning(self, weights_kind):
+        # the suite turns warnings into errors, so a numpy overflow or
+        # invalid-value warning would fail here before the estimate raises
+        x = rng.standard_normal(64)
+        x[5] = 1e300
+        prof = np.full(default_grid(64).m, 4)
+        with pytest.raises(FloatingPointError):
+            variable_k_estimate(x, prof, weights_kind)
+
+
+series = hnp.arrays(
+    np.float64, st.integers(2, 64), elements=st.floats(-1e6, 1e6, allow_subnormal=False)
+)
+
+
+@st.composite
+def series_and_k(draw):
+    x = draw(series)
+    return x, draw(st.integers(1, x.shape[0]))
+
+
+@st.composite
+def series_and_profile(draw):
+    """A series and a per-bin taper count over [1, n] holding both ends."""
+    x = draw(series)
+    n = x.shape[0]
+    m = default_grid(n).m
+    prof = draw(hnp.arrays(np.int64, m, elements=st.integers(1, n)))
+    ends = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    prof[ends] = [1, n]
+    return x, prof
+
+
+class TestVariableKProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_k(), st.sampled_from(["uniform", "parabolic"]))
+    def test_constant_profile_equals_fast_path(self, data, kind):
+        x, k = data
+        grid = default_grid(x.shape[0])
+        est = variable_k_estimate(x, np.full(grid.m, k), kind, grid)
+        ref = sinusoidal_estimate_fast(x, k, make_weights(kind, k), grid)
+        assert np.max(np.abs(est.values - ref.values)) < 1e-12 * (1 + ref.values.max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_profile(), st.sampled_from(["uniform", "parabolic"]))
+    def test_each_bin_equals_fast_path_at_its_k(self, data, kind):
+        x, prof = data
+        grid = default_grid(x.shape[0])
+        est = variable_k_estimate(x, prof, kind, grid)
+        for k in np.unique(prof):
+            ref = sinusoidal_estimate_fast(x, int(k), make_weights(kind, int(k)), grid)
+            sel = prof == k
+            assert np.max(np.abs(est.values[sel] - ref.values[sel])) < 1e-12 * (
+                1 + ref.values.max()
+            )
 
 
 class TestKProfileMedian:

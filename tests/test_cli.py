@@ -78,6 +78,16 @@ class TestExitCodes:
         assert run(["estimate", "--input", bad, "--k", "2"]) == 2
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank_lines"])
+    def test_empty_input_exits_two_without_warning(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        assert run(["estimate", "--input", empty, "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "empty.csv holds no data rows" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_estimate_exits_three(self, tmp_path, capsys):
         # any numpy warning on the way would raise here instead of exiting 3
         series = tmp_path / "x.csv"

@@ -125,11 +125,13 @@ def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
 
     Minimizes the asymptotic squared error
     ``theta2^2 * (b*w^2 + K^2/(24n^2))^2 + C*(1 + 1/(2K))^2/(n*w)``
-    exactly over w (the stationarity condition is monotone, so a
-    bisection finds the unique root; when the taper term is negligible
-    this reduces to the closed form ~ |theta2|^(-2/5) * n^(-1/5)). The
-    result is clamped to [2/grid_m, 1/4]. Accepts scalar or array
-    ``theta2``.
+    exactly over w. With ``a = 4*theta2^2*b``, the stationarity condition
+    ``g(w) = a*w^3*(b*w^2 + c) - d = 0`` is increasing and convex
+    for w > 0, so Newton steps taken from the right of the root decrease
+    monotonically onto it. They start at its c = 0 root, the closed form
+    ``(d/(a*b))^(1/5)`` ~ |theta2|^(-2/5) * n^(-1/5), or at 1/4
+    if that is smaller, and stop when a step changes no value. The result
+    is clamped to [2/grid_m, 1/4]. Accepts scalar or array ``theta2``.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -137,29 +139,22 @@ def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
         grid_m = default_grid(n).m
     theta2 = np.asarray(theta2, dtype=np.float64)
     scalar = theta2.ndim == 0
-    t2 = np.abs(np.atleast_1d(theta2))
     b = kernel.bias_const
+    a = 4.0 * np.atleast_1d(theta2) ** 2 * b
     c = k_count**2 / (24.0 * n * n)
     d = kernel.var_const * (1.0 + 0.5 / k_count) ** 2 / n
-    lo = min(2.0 / grid_m, 0.25)
-    hi = 0.25
-
-    def slope_sign(w):
-        # derivative of the error, up to the positive factor 1/w^2
-        return 4.0 * t2 * t2 * b * w**3 * (b * w * w + c) - d
-
-    out = np.full(t2.shape, hi)
-    active = slope_sign(np.full(t2.shape, hi)) > 0
-    out[slope_sign(np.full(t2.shape, lo)) >= 0] = lo
-    active &= out > lo
-    wlo = np.full(t2.shape, lo)
-    whi = np.full(t2.shape, hi)
-    for _ in range(80):
-        mid = 0.5 * (wlo + whi)
-        pos = slope_sign(mid) > 0
-        whi = np.where(active & pos, mid, whi)
-        wlo = np.where(active & ~pos, mid, wlo)
-    out = np.where(active, 0.5 * (wlo + whi), out)
+    # a flat curvature (theta2 = 0, or so small that d/(a*b) overflows) gives
+    # an infinite start and a 0/0 step that np.where drops: those bins start
+    # at 1/4, where g is about -d < 0, and stay there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.fmin((d / (a * b)) ** 0.2, 0.25)
+        while True:
+            g = a * w**3 * (b * w * w + c) - d
+            w_next = w - np.where(g > 0, g / (a * w * w * (5.0 * b * w * w + 3.0 * c)), 0.0)
+            if np.array_equal(w_next, w, equal_nan=True):
+                break
+            w = w_next
+    out = np.clip(w, min(2.0 / grid_m, 0.25), 0.25)
     return float(out[0]) if scalar else out
 
 

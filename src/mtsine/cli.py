@@ -1,8 +1,13 @@
 """Command-line interface: estimation runs, table reproduction, synthesis.
 
 All inputs are headerless CSV with one real per line; all outputs are
-CSV (JSON for estimates with ``--json``). Exit codes: 0 on success, 2
-for usage or input problems, 3 for numerical failures.
+CSV (JSON for estimates with ``--json``). A float cell is the shortest
+decimal that reads back to the same float64; counts and indices are
+integers (but the adaptive K profile sidecar holds floats). Exit codes:
+0 on success, 2 for usage or input problems (``synth`` rejects a
+non-finite ``--sigma2`` or ``--coeffs``), 3 for numerical failures,
+including an output value that would be ``inf`` or ``nan``: then that
+file is not written.
 """
 
 import argparse
@@ -30,10 +35,6 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -42,10 +43,27 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row)
-              for row in rows]
+def _write_csv(path, header, columns):
+    """Write equal-length 1-d columns as CSV, under ``header`` unless it is None.
+
+    This is the one place numbers become text. A float column is written as
+    ``repr`` of each float64, the shortest decimal that reads back to the
+    same value; any other column (counts, indices, labels) as ``str``. A
+    float column holding ``inf`` or ``nan`` raises ``FloatingPointError``
+    before the file is opened.
+    """
+    cells = []
+    for i, col in enumerate(map(np.asarray, columns)):
+        if col.dtype.kind == "f":
+            if not np.all(np.isfinite(col)):
+                name = header[i] if header else "series"
+                raise FloatingPointError(
+                    f"column {name} of {path or 'stdout'} would hold inf or nan")
+            cells.append(map(repr, col.tolist()))
+        else:
+            cells.append(map(str, col.tolist()))
+    lines = [] if header is None else [",".join(header)]
+    lines += map(",".join, zip(*cells, strict=True))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -84,19 +102,20 @@ def _half_grid(grid):
     return idx, f
 
 
-def _half_grid_rows(grid, values, extra=None):
+def _write_half_grid(path, grid, names, columns):
+    """The spectral layout: ``f`` over [0, 1/2], then each column at those bins."""
     idx, f = _half_grid(grid)
-    for pos, i in enumerate(idx):
-        row = [_fmt(f[pos]), _fmt(values[i])]
-        if extra is not None:
-            row.append(str(int(extra[i])) if float(extra[i]).is_integer() else _fmt(extra[i]))
-        yield row
+    _write_csv(path, ["f", *names], [f, *(c[idx] for c in columns)])
 
 
-def _table_rows(table, row_header):
-    yield [row_header] + [str(c) for c in table.column_labels]
-    for label, row in zip(table.row_labels, table.values):
-        yield [str(label)] + [_fmt(v) for v in row]
+def _k_labels(k_count):
+    return [f"k={k}" for k in range(1, k_count + 1)]
+
+
+def _write_tapers(path, taper_matrix):
+    """The taper layout: sample index ``n``, then one taper per column."""
+    k_count, n = taper_matrix.shape
+    _write_csv(path, ["n", *_k_labels(k_count)], [np.arange(1, n + 1), *taper_matrix])
 
 
 def cmd_tapers(args):
@@ -108,28 +127,17 @@ def cmd_tapers(args):
         family = minimum_bias_family(args.n, args.k)
     else:
         family = slepian_family(args.n, args.w, args.k)
-    header = ["n"] + [f"k={k}" for k in range(1, family.k_count + 1)]
-    rows = (
-        [str(t + 1)] + [_fmt(v) for v in family.taper_matrix[:, t]]
-        for t in range(family.n)
-    )
-    _write_rows(args.out, header, rows)
+    _write_tapers(args.out, family.taper_matrix)
     if args.out is None:
         return 0
     grid = window_grid(args.n, args.window_oversample)
     windows = [spectral_window(t, grid).power for t in family.tapers]
-    idx, f = _half_grid(grid)
-    _write_rows(
-        _sidecar(args.out, "window"),
-        ["f"] + [f"k={k}" for k in range(1, family.k_count + 1)],
-        ([_fmt(f[pos])] + [_fmt(wv[i]) for wv in windows] for pos, i in enumerate(idx)),
-    )
-    norm = bias_normalization(args.n)
-    _write_rows(
+    _write_half_grid(_sidecar(args.out, "window"), grid, _k_labels(family.k_count), windows)
+    _write_csv(
         _sidecar(args.out, "bias"),
         ["k", "local_bias", "normalized_bias"],
-        ([str(k + 1), _fmt(lam), _fmt(norm * lam)]
-         for k, lam in enumerate(family.local_biases)),
+        [np.arange(1, family.k_count + 1), family.local_biases,
+         bias_normalization(args.n) * family.local_biases],
     )
     return 0
 
@@ -146,11 +154,11 @@ def cmd_estimate(args):
     if args.json:
         idx, f = _half_grid(grid)
         payload = est.metadata()
-        payload["f"] = [float(v) for v in f]
-        payload["value"] = [float(est.values[i]) for i in idx]
+        payload["f"] = f.tolist()
+        payload["value"] = est.values[idx].tolist()
         _write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
         return 0
-    _write_rows(args.out, ["f", "value"], _half_grid_rows(grid, est.values))
+    _write_half_grid(args.out, grid, ["value"], [est.values])
     return 0
 
 
@@ -166,16 +174,14 @@ def cmd_adaptive(args):
         **{f: getattr(args, f) for f in flags if getattr(args, f) is not None},
     )
     est = two_stage_log_estimate(x, config, grid)
-    k_col = est.k_used if isinstance(est.k_used, np.ndarray) else None
-    _write_rows(args.out, ["f", "value"] + (["k_used"] if k_col is not None else []),
-                _half_grid_rows(grid, est.values, k_col))
-    profile = est.w_used if est.w_used is not None else est.k_used
-    name = "w" if est.w_used is not None else "k"
-    _write_rows(
-        _sidecar(args.out, "profile"),
-        ["f", name],
-        _half_grid_rows(grid, np.asarray(profile, dtype=np.float64)),
-    )
+    if est.w_used is None:  # variable_k: one taper count per bin
+        _write_half_grid(args.out, grid, ["value", "k_used"], [est.values, est.k_used])
+        name, profile = "k", est.k_used
+    else:
+        _write_half_grid(args.out, grid, ["value"], [est.values])
+        name, profile = "w", est.w_used
+    _write_half_grid(_sidecar(args.out, "profile"), grid, [name],
+                     [np.asarray(profile, dtype=np.float64)])
     return 0
 
 
@@ -187,29 +193,19 @@ def cmd_tables(args):
     n = TABLE_N.get(args.which) if args.n is None else args.n
     if args.which == 1:
         sizes = [int(s) for s in args.sizes.split(",")]
-        table = convergence_table(sizes)
-        rows = _table_rows(table, "n")
+        table, row_header = convergence_table(sizes), "n"
     elif args.which == 2:
         ws = [float(w) for w in args.slepian_ws.split(",")]
-        table = bias_table(n, args.k_max, ws)
-        rows = _table_rows(table, "K")
+        table, row_header = bias_table(n, args.k_max, ws), "K"
     elif args.which == 3:
-        table = concentration_table(n, args.w, args.k_max)
-        rows = _table_rows(table, "k")
+        table, row_header = concentration_table(n, args.w, args.k_max), "k"
     else:
         weights, fam = table4_decomposition(n, args.taper_fraction, w=args.kernel_w)
-        table = tabulate_table4(weights, fam)
-        rows = _table_rows(table, "k")
+        table, row_header = tabulate_table4(weights, fam), "k"
         if args.vectors_out:
-            k_cols = min(fam.k_count, len(table.row_labels))
-            _write_rows(
-                args.vectors_out,
-                ["n"] + [f"k={k}" for k in range(1, k_cols + 1)],
-                ([str(t + 1)] + [_fmt(v) for v in fam.taper_matrix[:k_cols, t]]
-                 for t in range(fam.n)),
-            )
-    header = next(rows)
-    _write_rows(args.out, header, rows)
+            _write_tapers(args.vectors_out, fam.taper_matrix[:len(table.row_labels)])
+    _write_csv(args.out, [row_header, *map(str, table.column_labels)],
+               [table.row_labels, *table.values.T])
     return 0
 
 
@@ -221,12 +217,10 @@ def cmd_synth(args):
         spec = ProcessSpec.white(args.sigma2, args.seed)
     else:
         spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
-    x = generate(spec, args.n)
-    _write_text(args.out, "\n".join(_fmt(v) for v in x) + "\n")
+    _write_csv(args.out, None, [generate(spec, args.n)])
     if args.truth_out:
         grid = _grid_for(args, args.n)
-        truth = true_spectrum(spec, grid)
-        _write_rows(args.truth_out, ["f", "value"], _half_grid_rows(grid, truth.values))
+        _write_half_grid(args.truth_out, grid, ["value"], [true_spectrum(spec, grid).values])
     return 0
 
 
@@ -248,21 +242,20 @@ def cmd_compare(args):
     log_truth = None
     if args.truth:
         log_truth = np.log(_read_truth(args.truth, grid))
+    methods, params, scores = [], [], []
 
-    def ise(values):
-        if log_truth is None:
-            return ""
-        return _fmt(float(np.mean((values - log_truth) ** 2)))
+    def score(method, param, est):
+        methods.append(method)
+        params.append(param)
+        scores.append("" if log_truth is None else np.mean((est.values - log_truth) ** 2))
 
-    rows = []
     for k in [int(s) for s in args.ks.split(",") if s]:
-        est = log_multitaper(x, k, grid=grid)
-        rows.append(["fixed_k", str(k), ise(est.values)])
+        score("fixed_k", str(k), log_multitaper(x, k, grid=grid))
     for mode in [m for m in args.adaptive.split(",") if m]:
         config = AdaptiveConfig.default_for(x.shape[0], mode=mode)
-        est = two_stage_log_estimate(x, config, grid)
-        rows.append(["adaptive", mode, ise(est.values)])
-    _write_rows(args.out, ["method", "param", "integrated_sq_log_error"], rows)
+        score("adaptive", mode, two_stage_log_estimate(x, config, grid))
+    _write_csv(args.out, ["method", "param", "integrated_sq_log_error"],
+               [methods, params, scores])
     return 0
 
 

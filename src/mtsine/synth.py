@@ -36,11 +36,14 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in ("white", "ar"):
             raise ValueError(f"unknown process kind {self.kind!r}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"innovation variance must be positive, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(
+                f"innovation variance must be finite and positive, got {self.sigma2}")
         if self.burn_in < 0:
             raise ValueError("burn-in cannot be negative")
         coeffs = tuple(float(a) for a in self.coeffs)
+        if not all(math.isfinite(a) for a in coeffs):
+            raise ValueError(f"AR coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
         if self.kind == "white" and coeffs:
             raise ValueError("white noise takes no AR coefficients")

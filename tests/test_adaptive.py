@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -169,6 +169,32 @@ class TestWOpt:
         t2 = np.linspace(0.0, 5000.0, 200)
         out = w_opt(t2, 4096, 16, grid_m=1 << 18)
         assert np.all(np.diff(out) <= 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 1e12),
+        st.integers(2, 1 << 16),
+        st.integers(1, 64),
+        st.sampled_from([BOX, EPANECHNIKOV]),
+    )
+    @example(7.8e-157, 2, 1, BOX)  # d / (4*t2^2*b^2) overflows
+    def test_root_of_stationarity_or_clamped(self, t2, n, k, kern):
+        # g is the error's derivative up to the positive factor 1/w^2
+        b, c = kern.bias_const, k**2 / (24.0 * n * n)
+        d = kern.var_const * (1.0 + 0.5 / k) ** 2 / n
+
+        def g(w):
+            return 4.0 * t2 * t2 * b * w**3 * (b * w * w + c) - d
+
+        lo = 2.0 / default_grid(n).m
+        w = w_opt(t2, n, k, kern)
+        assert lo <= w <= 0.25
+        if w == 0.25:
+            assert g(w) <= 0
+        elif w == lo:
+            assert g(w) >= 0
+        else:
+            assert abs(g(w)) <= 1e-12 * d
 
 
 class TestCurvaturePilot:

@@ -3,8 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from mtsine import cli, sinusoidal_taper, table4_experiment
+from mtsine import (
+    AdaptiveConfig,
+    ProcessSpec,
+    cli,
+    default_grid,
+    generate,
+    make_weights,
+    sinusoidal_estimate_fast,
+    sinusoidal_family,
+    sinusoidal_taper,
+    spectral_window,
+    table4_experiment,
+    true_spectrum,
+    two_stage_log_estimate,
+    window_grid,
+)
 from mtsine.cli import main
+from mtsine.metrics import bias_normalization
 
 
 def run(argv):
@@ -100,6 +116,22 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [0.0, 1e-200], ids=["zeros", "underflow"])
+    def test_non_finite_score_exits_three(self, tmp_path, capsys, scale):
+        # the estimate of this series is 0, so its log error against the truth is inf
+        series, truth = tmp_path / "x.csv", tmp_path / "truth.csv"
+        assert run(["synth", "--model", "white", "--n", "64", "--seed", "2",
+                    "--out", series, "--truth-out", truth]) == 0
+        series.write_text("".join(f"{v!r}\n" for v in (np.loadtxt(series) * scale).tolist()))
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--input", series, "--truth", truth, "--adaptive", "",
+                    "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 24.3 GiB")
@@ -123,6 +155,119 @@ class TestDeterminism:
         run(["estimate", "--input", a, "--k", "6", "--out", ea])
         run(["estimate", "--input", b, "--k", "6", "--out", eb])
         assert ea.read_bytes() == eb.read_bytes()
+
+
+class TestSynthCommand:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "white", "--sigma2", "nan"],
+            ["--model", "white", "--sigma2", "inf"],
+            ["--model", "white", "--sigma2", "-1"],
+            ["--model", "ar", "--coeffs", "nan,0.1"],
+        ],
+        ids=["sigma2_nan", "sigma2_inf", "sigma2_negative", "coeff_nan"],
+    )
+    def test_rejects_non_finite_parameters(self, tmp_path, capsys, flags):
+        out, truth = tmp_path / "x.csv", tmp_path / "truth.csv"
+        assert run(["synth", *flags, "--n", "3", "--out", out, "--truth-out", truth]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert not out.exists() and not truth.exists()
+
+
+def assert_float_cells(cells, expected):
+    """Each cell is the shortest decimal of exactly the expected float64."""
+    expected = np.asarray(expected, dtype=np.float64)
+    assert len(cells) == expected.size
+    assert np.array_equal(np.array([float(c) for c in cells]), expected)
+    assert all(c == repr(float(c)) for c in cells)
+
+
+def assert_int_cells(cells, expected):
+    assert list(cells) == [str(int(v)) for v in expected]
+
+
+class TestCsvFormat:
+    """Every float cell reads back to the library's float64 exactly; counts
+    and indices are integer literals."""
+
+    coeffs, n, seed = (0.605673, -0.9604), 300, 8
+
+    @pytest.fixture
+    def series(self, tmp_path):
+        path, truth = tmp_path / "x.csv", tmp_path / "truth.csv"
+        assert run(["synth", "--model", "ar", "--coeffs", ",".join(map(repr, self.coeffs)),
+                    "--n", self.n, "--seed", self.seed, "--out", path,
+                    "--truth-out", truth]) == 0
+        return path, truth
+
+    def half_grid(self):
+        return cli._half_grid(default_grid(self.n))
+
+    def test_synth(self, series):
+        path, truth = series
+        spec = ProcessSpec.ar(self.coeffs, 1.0, self.seed)
+        assert_float_cells(path.read_text().split(), generate(spec, self.n))
+        header, rows = read_csv(truth)
+        assert header == ["f", "value"]
+        idx, f = self.half_grid()
+        f_cells, v_cells = zip(*rows)
+        assert_float_cells(f_cells, f)
+        assert_float_cells(v_cells, true_spectrum(spec, default_grid(self.n)).values[idx])
+
+    def test_estimate(self, series, tmp_path):
+        path, _ = series
+        out = tmp_path / "est.csv"
+        assert run(["estimate", "--input", path, "--k", "6", "--weights", "parabolic",
+                    "--out", out]) == 0
+        x = np.loadtxt(path)
+        est = sinusoidal_estimate_fast(x, 6, make_weights("parabolic", 6), default_grid(self.n))
+        idx, f = self.half_grid()
+        f_cells, v_cells = zip(*read_csv(out)[1])
+        assert_float_cells(f_cells, f)
+        assert_float_cells(v_cells, est.values[idx])
+
+    @pytest.mark.parametrize("mode", ["variable_k", "variable_w"])
+    def test_adaptive(self, series, tmp_path, mode):
+        path, _ = series
+        out = tmp_path / "ad.csv"
+        assert run(["adaptive", "--input", path, "--mode", mode, "--out", out]) == 0
+        config = AdaptiveConfig.default_for(self.n, mode=mode)
+        est = two_stage_log_estimate(np.loadtxt(path), config, default_grid(self.n))
+        idx, f = self.half_grid()
+        header, rows = read_csv(out)
+        columns = list(zip(*rows))
+        assert_float_cells(columns[0], f)
+        assert_float_cells(columns[1], est.values[idx])
+        profile = est.w_used if mode == "variable_w" else est.k_used
+        if mode == "variable_k":
+            assert header == ["f", "value", "k_used"]
+            assert_int_cells(columns[2], est.k_used[idx])
+        _, prows = read_csv(tmp_path / "ad_profile.csv")
+        assert_float_cells([r[1] for r in prows], profile[idx])
+
+    def test_tapers_and_sidecars(self, tmp_path):
+        n, k = 40, 3
+        out = tmp_path / "tp.csv"
+        assert run(["tapers", "--family", "sine", "--n", n, "--k", k, "--out", out]) == 0
+        family = sinusoidal_family(n, k)
+        columns = list(zip(*read_csv(out)[1]))
+        assert_int_cells(columns[0], range(1, n + 1))
+        for col, taper in zip(columns[1:], family.taper_matrix, strict=True):
+            assert_float_cells(col, taper)
+        grid = window_grid(n, 16)
+        idx, f = cli._half_grid(grid)
+        columns = list(zip(*read_csv(tmp_path / "tp_window.csv")[1]))
+        assert_float_cells(columns[0], f)
+        for col, taper in zip(columns[1:], family.tapers, strict=True):
+            assert_float_cells(col, spectral_window(taper, grid).power[idx])
+        header, rows = read_csv(tmp_path / "tp_bias.csv")
+        k_cells, lam_cells, norm_cells = zip(*rows)
+        assert_int_cells(k_cells, range(1, k + 1))
+        assert_float_cells(lam_cells, family.local_biases)
+        assert_float_cells(norm_cells, bias_normalization(n) * family.local_biases)
 
 
 class TestTapersCommand:

@@ -22,7 +22,6 @@ from .adaptive import (
     log_bias_b,
     log_multitaper,
     two_stage_log_estimate,
-    variable_k_estimate,
     w_opt,
 )
 from .estimator import (
@@ -136,7 +135,6 @@ __all__ = [
     "true_log_curvature",
     "true_spectrum",
     "two_stage_log_estimate",
-    "variable_k_estimate",
     "w_opt",
     "window_grid",
 ]

@@ -5,7 +5,9 @@ The log of a K-taper estimate of white noise is biased by
 log estimate here subtracts that constant by default. Smoothing the
 corrected log estimate with a halfwidth matched to the local curvature
 of the log spectrum gives the two-stage estimators: either the kernel
-halfwidth or the taper count itself varies with frequency.
+halfwidth or the taper count itself varies with frequency. The log
+estimate and its correction are written once, for one K or a per-bin
+K(f) alike, and the variable-K stage is that estimate at its K profile.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .estimator import (SpectralEstimate, as_series, dft, k_opt, make_weights,
+from .estimator import (SpectralEstimate, as_series, k_opt, make_weights,
                         sinusoidal_estimate_fast)
 from .grid import FrequencyGrid, default_grid
 
@@ -81,28 +83,38 @@ def digamma(x):
 
 
 def log_bias_b(k_count):
-    """Log-scale bias constant psi(K) - ln(K); negative, vanishing in K."""
+    """Log-scale bias constant psi(K) - ln(K); negative, vanishing in K.
+
+    Takes one K or an array of them; an array is evaluated once per
+    distinct K, so each entry equals the scalar call bit for bit.
+    """
+    if np.ndim(k_count) > 0:
+        ks, inverse = np.unique(k_count, return_inverse=True)
+        return np.array([log_bias_b(int(k)) for k in ks])[inverse]
     if k_count < 1:
         raise ValueError(f"need at least one taper, got K={k_count}")
     return digamma(k_count) - math.log(k_count)
 
 
-def log_multitaper(series, k_count, grid=None, correction="full"):
+def log_multitaper(series, k, grid=None, correction="full"):
     """Bias-corrected log of the uniform sinusoidal multitaper estimate.
 
-    ``correction`` selects how much of the log-scale bias constant is
-    removed: ``"full"`` subtracts B_K (centers the estimate for white
-    noise, the default) while ``"per_taper"`` subtracts B_K / K. Bins
-    with zero estimated power come out as -inf.
+    ``k`` is one taper count or one per grid bin, as in
+    :func:`sinusoidal_estimate_fast`. ``correction`` selects how much of
+    the log-scale bias constant is removed at each bin's K: ``"full"``
+    subtracts B_K (centers the estimate for white noise, the default)
+    while ``"per_taper"`` subtracts B_K / K. Bins with zero estimated
+    power come out as -inf.
     """
     if correction not in ("full", "per_taper"):
         raise ValueError(f"unknown correction {correction!r}")
-    est = sinusoidal_estimate_fast(series, k_count, grid=grid)
-    b = log_bias_b(k_count)
-    shift = b if correction == "full" else b / k_count
+    est = sinusoidal_estimate_fast(series, k, grid=grid)
+    shift = log_bias_b(est.k_used)
+    if correction == "per_taper":
+        shift = shift / est.k_used
     with np.errstate(divide="ignore"):
         values = np.log(est.values) - shift
-    return SpectralEstimate(est.grid, values, k_count, est.weights, scale="log")
+    return SpectralEstimate(est.grid, values, est.k_used, est.weights, scale="log")
 
 
 def kernel_smooth(values, kernel, w, grid):
@@ -258,34 +270,6 @@ def curvature_pilot(series, config, grid=None):
     return CurvatureProfile(grid, th2)
 
 
-def variable_k_estimate(series, k_profile, weights_kind="uniform", grid=None):
-    """Sinusoidal multitaper estimate with a per-bin taper count.
-
-    Each grid bin is assembled from that bin's ``k_profile`` shifted
-    transform differences with weights renormalized to sum to one, so a
-    constant profile reproduces the fixed-K fast path exactly.
-    """
-    x = as_series(series)
-    n = x.shape[0]
-    if grid is None:
-        grid = default_grid(n)
-    k_profile = np.ascontiguousarray(k_profile, dtype=np.int64)
-    if k_profile.shape != (grid.m,):
-        raise ValueError("k_profile must have one entry per grid bin")
-    if k_profile.min() < 1 or k_profile.max() > n:
-        raise ValueError(f"taper counts must lie in [1, {n}]")
-    if weights_kind not in ("uniform", "parabolic"):
-        raise ValueError(f"unknown weight kind {weights_kind!r}")
-    step = grid.shift_step(n)
-    y = dft(x, grid)
-    values = _kernels.variable_k_combine(
-        y, k_profile, step, n + 1.0, weights_kind == "parabolic"
-    )
-    return SpectralEstimate(
-        grid, np.maximum(values, 0.0), k_profile, None
-    )
-
-
 # elements copied per block of the moving median: bounds its working memory
 _MEDIAN_BLOCK = 1 << 20
 
@@ -351,11 +335,4 @@ def two_stage_log_estimate(series, config=None, grid=None):
     curv = (th2 + th1 * th1) * level
     k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(k_raw, config, grid, n)
-    est = variable_k_estimate(x, k_prof, grid=grid)
-    b = np.array([log_bias_b(k) for k in range(1, config.k_max + 1)])
-    shift = b[k_prof - 1]
-    if config.log_correction == "per_taper":
-        shift = shift / k_prof
-    with np.errstate(divide="ignore"):
-        values = np.log(est.values) - shift
-    return SpectralEstimate(grid, values, k_prof, None, scale="log")
+    return log_multitaper(x, k_prof, grid, config.log_correction)

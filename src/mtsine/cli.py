@@ -3,7 +3,7 @@
 All inputs are headerless CSV with one real per line; all outputs are
 CSV (JSON for estimates with ``--json``). A float cell is the shortest
 decimal that reads back to the same float64; counts and indices are
-integers (but the adaptive K profile sidecar holds floats). Exit codes:
+integers. Exit codes:
 0 on success, 2 for usage or input problems (``synth`` rejects a
 non-finite ``--sigma2`` or ``--coeffs``), 3 for numerical failures,
 including an output value that would be ``inf`` or ``nan``: then that
@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .adaptive import AdaptiveConfig, kernel_by_name, log_multitaper, two_stage_log_estimate
-from .estimator import as_series, make_weights, sinusoidal_estimate_fast
+from .estimator import as_series, sinusoidal_estimate_fast
 from .grid import FrequencyGrid, default_grid, window_grid
 from .metrics import (
     bias_normalization,
@@ -149,8 +149,7 @@ def _grid_for(args, n):
 def cmd_estimate(args):
     x = _read_series(args.input)
     grid = _grid_for(args, x.shape[0])
-    weights = make_weights(args.weights, args.k)
-    est = sinusoidal_estimate_fast(x, args.k, weights, grid)
+    est = sinusoidal_estimate_fast(x, args.k, args.weights, grid)
     if args.json:
         idx, f = _half_grid(grid)
         payload = est.metadata()
@@ -180,8 +179,7 @@ def cmd_adaptive(args):
     else:
         _write_half_grid(args.out, grid, ["value"], [est.values])
         name, profile = "w", est.w_used
-    _write_half_grid(_sidecar(args.out, "profile"), grid, [name],
-                     [np.asarray(profile, dtype=np.float64)])
+    _write_half_grid(_sidecar(args.out, "profile"), grid, [name], [profile])
     return 0
 
 

@@ -7,7 +7,9 @@ shifted differences of a single zero-padded transform,
     S_hat(f) = sum_j mu_j / (2*(n+1)) * |y(f + j/(2n+2)) - y(f - j/(2n+2))|^2,
 
 which costs one FFT instead of K. Both paths agree to round-off on
-grids whose size is a multiple of 2*(n+1).
+grids whose size is a multiple of 2*(n+1). The fast estimator is one
+function for a single K and for a per-bin K(f): the paper's local
+bandwidth is the same formula with K read at f.
 """
 
 from dataclasses import dataclass
@@ -157,28 +159,47 @@ def multitaper_estimate(series, family, weights, grid=None):
     return SpectralEstimate(grid, values, family.k_count, weights)
 
 
-def sinusoidal_estimate_fast(series, k_count, weights=None, grid=None):
+def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
     """Sinusoidal multitaper estimate from one zero-padded transform.
 
-    Equals the generic estimator with the sinusoidal family to
-    round-off; requires a grid size that is a multiple of 2*(n+1) so
-    the half-resolution shifts land on grid bins.
+    ``k`` is one taper count or one count per grid bin (an int array of
+    shape ``(grid.m,)``), each in [1, n]. ``weights`` is None (uniform), a
+    kind name (``"uniform"`` or ``"parabolic"``) or, for a single K only,
+    any :class:`WeightScheme`. A per-bin K averages each bin's own K shifted
+    differences with that kind's weights renormalized to sum to one, so a
+    constant profile equals the single-K estimate. Equals the generic
+    estimator with the sinusoidal family to round-off; requires a grid
+    size that is a multiple of 2*(n+1) so the half-resolution shifts land
+    on grid bins.
     """
     x = as_series(series)
     n = x.shape[0]
-    if not 1 <= k_count <= n:
-        raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
-    if weights is None:
-        weights = make_weights("uniform", k_count)
-    if weights.k_count != k_count:
-        raise ValueError(f"{weights.k_count} weights for K={k_count} tapers")
     if grid is None:
         grid = default_grid(n)
+    per_bin = np.ndim(k) > 0
+    if per_bin:
+        k = np.ascontiguousarray(k, dtype=np.int64)
+        if k.shape != (grid.m,):
+            raise ValueError("a per-bin K must have one entry per grid bin")
+    if not 1 <= np.min(k) <= np.max(k) <= n:
+        raise ValueError(f"need 1 <= K <= n, got K in [{np.min(k)}, {np.max(k)}], n={n}")
+    if weights is None:
+        weights = "uniform"
+    if per_bin:
+        if not (isinstance(weights, str) and weights in ("uniform", "parabolic")):
+            raise ValueError("a per-bin K takes the weight kind uniform or parabolic")
+    elif isinstance(weights, str):
+        weights = make_weights(weights, k)
+    elif weights.k_count != k:
+        raise ValueError(f"{weights.k_count} weights for K={k} tapers")
     step = grid.shift_step(n)
     y = dft(x, grid)
-    scaled = weights.weights / (2.0 * (n + 1))
-    values = _kernels.combine_shifts(y, scaled, step)
-    return SpectralEstimate(grid, np.maximum(values, 0.0), k_count, weights)
+    if per_bin:
+        values = _kernels.variable_k_combine(y, k, step, n + 1.0, weights == "parabolic")
+        weights = None
+    else:
+        values = _kernels.combine_shifts(y, weights.weights / (2.0 * (n + 1)), step)
+    return SpectralEstimate(grid, np.maximum(values, 0.0), k, weights)
 
 
 def expected_square_error(s, s2, weights, local_biases):

@@ -19,7 +19,7 @@ from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
     Taper,
     TaperFamily,
-    _fix_sign,
+    _fix_signs,
     local_bias_matrix,
     minimum_bias_family,
     sinusoidal_taper,
@@ -134,7 +134,7 @@ def quadratic_to_multitaper(q, rank_tolerance=1e-10):
     # suffix[k] = squared Frobenius norm dropped when keeping the first k pairs
     suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     k = max(1, int(np.argmax(suffix <= budget)))
-    mat = np.array([_fix_sign(vec[:, i]) for i in range(k)])
+    mat = _fix_signs(vec[:, :k])
     lam = local_bias_matrix(q.n).quadratic_forms(mat)
     return mu[:k].copy(), TaperFamily(mat, lam, "custom")
 

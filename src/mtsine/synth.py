@@ -15,7 +15,6 @@ import numpy as np
 from . import _kernels
 from .adaptive import CurvatureProfile
 from .estimator import SpectralEstimate
-from .grid import default_grid
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,8 @@ def generate(spec, n):
     return x[spec.burn_in:]
 
 
-def true_spectrum(spec, grid=None, n_hint=None):
+def true_spectrum(spec, grid):
     """Exact spectral density of the process on a grid."""
-    if grid is None:
-        grid = default_grid(n_hint if n_hint else 256)
     values = spectrum_at(spec, grid.frequencies)
     return SpectralEstimate(grid, values, 0, None)
 
@@ -126,14 +123,12 @@ def spectrum_at(spec, freqs):
 _CURV_STEP = 1e-4
 
 
-def true_log_curvature(spec, grid=None, n_hint=None):
+def true_log_curvature(spec, grid):
     """Second frequency derivative of the log spectral density.
 
     Dense central differences (step 1e-4) of the closed-form log
     spectrum; exactly zero for white noise.
     """
-    if grid is None:
-        grid = default_grid(n_hint if n_hint else 256)
     f = grid.frequencies
     if spec.kind == "white":
         return CurvatureProfile(grid, np.zeros(grid.m))

@@ -140,12 +140,11 @@ class SpectralWindow:
         return self.values.real**2 + self.values.imag**2
 
 
-def _fix_sign(vec):
-    """Make the first component larger than SIGN_EPS in magnitude positive."""
-    for c in vec:
-        if abs(c) > SIGN_EPS:
-            return vec if c > 0 else -vec
-    return vec
+def _fix_signs(cols):
+    """The columns of ``cols`` as rows, each negated where its first
+    component larger than SIGN_EPS in magnitude is negative."""
+    lead = cols[np.argmax(np.abs(cols) > SIGN_EPS, axis=0), np.arange(cols.shape[1])]
+    return np.where(lead < -SIGN_EPS, -cols, cols).T.copy()
 
 
 def sinusoidal_taper(n, k):
@@ -209,7 +208,7 @@ def minimum_bias_family(n, k_count):
         raise np.linalg.LinAlgError(
             f"eigendecomposition of the {n}x{n} local-bias matrix failed: {exc}"
         ) from exc
-    mat = np.array([_fix_sign(vec[:, i]) for i in range(k_count)])
+    mat = _fix_signs(vec[:, :k_count])
     return TaperFamily(mat, lam[:k_count], "minimum_bias")
 
 
@@ -239,7 +238,7 @@ def slepian_family(n, w, k_count):
         raise np.linalg.LinAlgError(
             f"Slepian tridiagonal eigendecomposition failed for n={n}: {exc}"
         ) from exc
-    mat = np.array([_fix_sign(vec[:, n - 1 - i]) for i in range(k_count)])
+    mat = _fix_signs(vec[:, ::-1][:, :k_count])
     lam = local_bias_matrix(n).quadratic_forms(mat)
     return TaperFamily(mat, lam, "slepian", bandwidth=float(w))
 

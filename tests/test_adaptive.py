@@ -23,7 +23,6 @@ from mtsine import (
     sinusoidal_estimate_fast,
     spectrum_at,
     two_stage_log_estimate,
-    variable_k_estimate,
     w_opt,
 )
 
@@ -238,7 +237,7 @@ class TestVariableK:
         n, k = 96, 7
         x = rng.standard_normal(n)
         grid = default_grid(n)
-        est = variable_k_estimate(x, np.full(grid.m, k), grid=grid)
+        est = sinusoidal_estimate_fast(x, np.full(grid.m, k), grid=grid)
         ref = sinusoidal_estimate_fast(x, k, grid=grid)
         assert np.max(np.abs(est.values - ref.values)) < 1e-12 * (1 + ref.values.max())
 
@@ -250,7 +249,7 @@ class TestVariableK:
         x = rng.standard_normal(n)
         grid = default_grid(n)
         prof = np.where(np.arange(grid.m) % 2 == 0, 5, 7)
-        est = variable_k_estimate(x, prof, weights_kind, grid)
+        est = sinusoidal_estimate_fast(x, prof, weights_kind, grid)
         for k in (5, 7):
             ref = sinusoidal_estimate_fast(x, k, make_weights(weights_kind, k), grid)
             sel = prof == k
@@ -268,7 +267,7 @@ class TestVariableK:
         acc2 = np.zeros(grid.m)
         for seed in range(reps):
             x = generate(ProcessSpec.white(1.0, seed=7000 + seed), n)
-            v = variable_k_estimate(x, prof, grid=grid).values
+            v = sinusoidal_estimate_fast(x, prof, grid=grid).values
             acc += v
             acc2 += v * v
         mean = acc[interior].mean() / reps
@@ -277,7 +276,15 @@ class TestVariableK:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            variable_k_estimate(np.ones(16), np.ones(5, dtype=int))
+            sinusoidal_estimate_fast(np.ones(16), np.ones(5, dtype=int))
+        m = default_grid(16).m
+        for bad in (0, 17):
+            prof = np.full(m, 4)
+            prof[3] = bad
+            with pytest.raises(ValueError):
+                sinusoidal_estimate_fast(np.ones(16), prof)
+        with pytest.raises(ValueError):  # a per-bin K takes a weight kind only
+            sinusoidal_estimate_fast(np.ones(16), np.full(m, 4), make_weights("uniform", 4))
 
     @pytest.mark.parametrize("weights_kind", ["uniform", "parabolic"])
     def test_overflow_raises_without_warning(self, weights_kind):
@@ -287,7 +294,7 @@ class TestVariableK:
         x[5] = 1e300
         prof = np.full(default_grid(64).m, 4)
         with pytest.raises(FloatingPointError):
-            variable_k_estimate(x, prof, weights_kind)
+            sinusoidal_estimate_fast(x, prof, weights_kind)
 
 
 series = hnp.arrays(
@@ -319,7 +326,7 @@ class TestVariableKProperties:
     def test_constant_profile_equals_fast_path(self, data, kind):
         x, k = data
         grid = default_grid(x.shape[0])
-        est = variable_k_estimate(x, np.full(grid.m, k), kind, grid)
+        est = sinusoidal_estimate_fast(x, np.full(grid.m, k), kind, grid)
         ref = sinusoidal_estimate_fast(x, k, make_weights(kind, k), grid)
         assert np.max(np.abs(est.values - ref.values)) < 1e-12 * (1 + ref.values.max())
 
@@ -328,13 +335,39 @@ class TestVariableKProperties:
     def test_each_bin_equals_fast_path_at_its_k(self, data, kind):
         x, prof = data
         grid = default_grid(x.shape[0])
-        est = variable_k_estimate(x, prof, kind, grid)
+        est = sinusoidal_estimate_fast(x, prof, kind, grid)
         for k in np.unique(prof):
             ref = sinusoidal_estimate_fast(x, int(k), make_weights(kind, int(k)), grid)
             sel = prof == k
             assert np.max(np.abs(est.values[sel] - ref.values[sel])) < 1e-12 * (
                 1 + ref.values.max()
             )
+
+
+class TestPerBinLogProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 5000), min_size=1, max_size=50))
+    def test_bias_array_equals_scalar_calls(self, ks):
+        assert np.array_equal(log_bias_b(np.array(ks)), [log_bias_b(k) for k in ks])
+
+    def test_bias_array_rejects_zero(self):
+        with pytest.raises(ValueError):
+            log_bias_b(np.array([3, 0, 2]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_profile(), st.sampled_from(["full", "per_taper"]))
+    def test_each_bin_equals_scalar_log_at_its_k(self, data, correction):
+        x, prof = data
+        grid = default_grid(x.shape[0])
+        est = log_multitaper(x, prof, grid, correction)
+        assert np.array_equal(est.k_used, prof) and est.scale == "log"
+        for k in np.unique(prof):
+            ref = log_multitaper(x, int(k), grid, correction)
+            sel = prof == k
+            # compared as powers, with the tolerance of the linear-scale
+            # test above: a power that underflows has no stable log
+            got, want = np.exp(est.values[sel]), np.exp(ref.values)
+            assert np.max(np.abs(got - want[sel])) < 1e-12 * (1 + want.max())
 
 
 class TestKProfileMedian:

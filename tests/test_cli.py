@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
 
@@ -241,12 +249,13 @@ class TestCsvFormat:
         columns = list(zip(*rows))
         assert_float_cells(columns[0], f)
         assert_float_cells(columns[1], est.values[idx])
-        profile = est.w_used if mode == "variable_w" else est.k_used
+        _, prows = read_csv(tmp_path / "ad_profile.csv")
         if mode == "variable_k":
             assert header == ["f", "value", "k_used"]
             assert_int_cells(columns[2], est.k_used[idx])
-        _, prows = read_csv(tmp_path / "ad_profile.csv")
-        assert_float_cells([r[1] for r in prows], profile[idx])
+            assert_int_cells([r[1] for r in prows], est.k_used[idx])
+        else:
+            assert_float_cells([r[1] for r in prows], est.w_used[idx])
 
     def test_tapers_and_sidecars(self, tmp_path):
         n, k = 40, 3
@@ -390,3 +399,80 @@ class TestCompareCommand:
         assert run(["compare", "--input", series, "--truth", truth, "--out", out]) == 2
         assert "truth.csv" in capsys.readouterr().err
         assert not out.exists()
+
+
+@st.composite
+def input_text(draw):
+    """An input file: empty, one sample, a nan row, all zeros, a 1e300 spike,
+    fewer than 8 samples, or a plain series; at most 64 samples."""
+    kind = draw(st.sampled_from(["empty", "single", "nan_row", "zeros", "spike",
+                                 "short", "plain"]))
+    if kind == "empty":
+        return ""
+    if kind == "single":
+        n = 1
+    else:
+        n = draw(st.integers(2, 7) if kind == "short" else st.integers(8, 64))
+    x = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    if kind == "zeros":
+        x[:] = 0.0
+    elif kind == "spike":
+        x[draw(st.integers(0, n - 1))] = 1e300
+    rows = [repr(v) for v in x.tolist()]
+    if kind == "nan_row":
+        rows[draw(st.integers(0, n - 1))] = "nan"
+    return "".join(r + "\n" for r in rows)
+
+
+class TestFailureContract:
+    """Every run exits 0, 2 or 3 with one error line and no traceback, and
+    never writes an inf or nan cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        input_text(),
+        st.sampled_from(["estimate", "variable_k", "variable_w", "compare", "compare_fixed"]),
+        st.integers(1, 80),
+        st.none() | st.integers(2, 600),
+    )
+    @example("", "estimate", 2, None)
+    @example("1.5\n", "variable_k", 1, None)
+    @example("0.5\nnan\n" + "0.25\n" * 14, "variable_w", 4, None)
+    @example("0.0\n" * 16, "compare_fixed", 4, None)
+    @example("0.5\n" * 10 + "1e300\n" + "0.25\n" * 5, "estimate", 4, None)
+    @example("0.5\n-0.25\n" * 3, "variable_k", 2, None)
+    @example("0.5\n-0.25\n1.5\n" * 8, "estimate", 40, None)
+    @example("0.5\n-0.25\n1.5\n" * 8, "compare", 4, 100)
+    @example("0.5\n-0.25\n1.5\n" * 8, "variable_k", 4, None)
+    def test_exit_code_and_outputs(self, text, command, k, grid_size):
+        with tempfile.TemporaryDirectory() as tmp:
+            series, truth = os.path.join(tmp, "x.csv"), os.path.join(tmp, "truth.csv")
+            out = os.path.join(tmp, "out.csv")
+            with open(series, "w") as fh:
+                fh.write(text)
+            with open(truth, "w") as fh:
+                fh.write("f,value\n0.0,1.0\n0.5,2.0\n")
+            if command == "estimate":
+                argv = ["estimate", "--k", k, "--weights", "parabolic"]
+            elif command.startswith("compare"):
+                modes = "" if command == "compare_fixed" else "variable_k,variable_w"
+                argv = ["compare", "--ks", k, "--adaptive", modes, "--truth", truth]
+            else:
+                argv = ["adaptive", "--mode", command]
+            argv += ["--input", series, "--out", out]
+            if grid_size is not None:
+                argv += ["--grid-size", grid_size]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(argv)
+            err = err.getvalue()
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == "" and os.path.exists(out)
+            else:
+                assert err.startswith(("error:", "numerical failure:")) and err.count("\n") == 1
+            for name in sorted(set(os.listdir(tmp)) - {"x.csv", "truth.csv"}):
+                with open(os.path.join(tmp, name)) as fh:
+                    cells = set(re.split(r"[,\n]", fh.read().lower()))
+                assert not cells & {"inf", "-inf", "nan"}, name

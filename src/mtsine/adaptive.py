@@ -2,12 +2,13 @@
 
 The log of a K-taper estimate of white noise is biased by
 ``B_K = psi(K) - ln(K)`` (the mean of ``ln(chi^2_{2K}/(2K))``), so the
-log estimate here subtracts that constant by default. Smoothing the
-corrected log estimate with a halfwidth matched to the local curvature
-of the log spectrum gives the two-stage estimators: either the kernel
-halfwidth or the taper count itself varies with frequency. The log
-estimate and its correction are written once, for one K or a per-bin
-K(f) alike, and the variable-K stage is that estimate at its K profile.
+log estimate here subtracts that constant, and only that constant, at
+each bin's K. Smoothing the corrected log estimate with a halfwidth
+matched to the local curvature of the log spectrum gives the two-stage
+estimators: either the kernel halfwidth or the taper count itself varies
+with frequency. The bias law, the log estimate and its correction are
+each written once, array-native, for one K or a per-bin K(f) alike, and
+the variable-K stage is that estimate at its K profile.
 """
 
 from dataclasses import dataclass, field
@@ -60,60 +61,49 @@ def kernel_by_name(name):
 
 
 def digamma(x):
-    """Digamma function for x > 0.
+    """Digamma function for x > 0, of a scalar or elementwise of an array.
 
-    Upward recurrence to x >= 10 followed by the asymptotic series in
-    1/x^2; absolute accuracy is better than 1e-12 over the positive
-    axis.
+    Upward recurrence to x >= 10 (taken only where x is still below 10)
+    followed by the asymptotic series in 1/x^2; absolute accuracy is
+    better than 1e-12 over the positive axis. A scalar gives a float.
     """
-    x = float(x)
-    if x <= 0:
-        raise ValueError(f"digamma needs a positive argument, got {x}")
-    value = 0.0
-    while x < 10.0:
-        value -= 1.0 / x
-        x += 1.0
+    x = np.array(x, dtype=np.float64)  # a copy: the recurrence steps it
+    if not np.all(x > 0):
+        raise ValueError(f"digamma needs a positive argument, got {np.min(x)}")
+    value = np.zeros_like(x)
+    while np.any(small := x < 10.0):
+        np.subtract(value, 1.0 / x, out=value, where=small)
+        np.add(x, 1.0, out=x, where=small)
     r = 1.0 / (x * x)
     series = r * (
         1.0 / 12.0
         - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (1.0 / 240.0
         - r * (1.0 / 132.0 - r * 691.0 / 32760.0))))
     )
-    return value + math.log(x) - 0.5 / x - series
+    out = value + np.log(x) - 0.5 / x - series
+    return float(out) if out.ndim == 0 else out
 
 
 def log_bias_b(k_count):
-    """Log-scale bias constant psi(K) - ln(K); negative, vanishing in K.
-
-    Takes one K or an array of them; an array is evaluated once per
-    distinct K, so each entry equals the scalar call bit for bit.
-    """
-    if np.ndim(k_count) > 0:
-        ks, inverse = np.unique(k_count, return_inverse=True)
-        return np.array([log_bias_b(int(k)) for k in ks])[inverse]
-    if k_count < 1:
-        raise ValueError(f"need at least one taper, got K={k_count}")
-    return digamma(k_count) - math.log(k_count)
+    """Log-scale bias constant psi(K) - ln(K) of one K or of each K in an
+    array; negative, vanishing in K."""
+    if np.any(np.asarray(k_count) < 1):
+        raise ValueError(f"need at least one taper, got K={np.min(k_count)}")
+    return digamma(k_count) - np.log(k_count)
 
 
-def log_multitaper(series, k, grid=None, correction="full"):
+def log_multitaper(series, k, grid=None):
     """Bias-corrected log of the uniform sinusoidal multitaper estimate.
 
     ``k`` is one taper count or one per grid bin, as in
-    :func:`sinusoidal_estimate_fast`. ``correction`` selects how much of
-    the log-scale bias constant is removed at each bin's K: ``"full"``
-    subtracts B_K (centers the estimate for white noise, the default)
-    while ``"per_taper"`` subtracts B_K / K. Bins with zero estimated
-    power come out as -inf.
+    :func:`sinusoidal_estimate_fast`. At each bin the log-scale bias
+    constant B_K of that bin's K is subtracted, which centers the
+    estimate for white noise. Bins with zero estimated power come out
+    as -inf.
     """
-    if correction not in ("full", "per_taper"):
-        raise ValueError(f"unknown correction {correction!r}")
     est = sinusoidal_estimate_fast(series, k, grid=grid)
-    shift = log_bias_b(est.k_used)
-    if correction == "per_taper":
-        shift = shift / est.k_used
     with np.errstate(divide="ignore"):
-        values = np.log(est.values) - shift
+        values = np.log(est.values) - log_bias_b(est.k_used)
     return SpectralEstimate(est.grid, values, est.k_used, est.weights, scale="log")
 
 
@@ -187,7 +177,6 @@ class AdaptiveConfig:
     curvature_halfwidth: float = 0.05
     mode: str = "variable_k"
     kernel: KernelSpec = field(default=EPANECHNIKOV)
-    log_correction: str = "full"
 
     def __post_init__(self):
         if not 1 <= self.k_min <= self.pilot_k <= self.k_max:
@@ -232,9 +221,7 @@ _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives
 
 def _pilot_derivatives(series, config, grid):
     """Pilot log estimate, its smoothed version, and two grid derivatives."""
-    theta = log_multitaper(
-        series, config.pilot_k, grid=grid, correction=config.log_correction
-    ).values
+    theta = log_multitaper(series, config.pilot_k, grid=grid).values
     if not np.all(np.isfinite(theta)):
         # zero-power bins (possible for degenerate inputs) would poison
         # the smoother; floor them at the smallest finite log value
@@ -335,4 +322,4 @@ def two_stage_log_estimate(series, config=None, grid=None):
     curv = (th2 + th1 * th1) * level
     k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(k_raw, config, grid, n)
-    return log_multitaper(x, k_prof, grid, config.log_correction)
+    return log_multitaper(x, k_prof, grid)

@@ -127,10 +127,10 @@ def cmd_tapers(args):
         family = minimum_bias_family(args.n, args.k)
     else:
         family = slepian_family(args.n, args.w, args.k)
+    grid = window_grid(args.n, args.window_oversample)
     _write_tapers(args.out, family.taper_matrix)
     if args.out is None:
         return 0
-    grid = window_grid(args.n, args.window_oversample)
     windows = [spectral_window(t, grid).power for t in family.tapers]
     _write_half_grid(_sidecar(args.out, "window"), grid, _k_labels(family.k_count), windows)
     _write_csv(
@@ -169,7 +169,6 @@ def cmd_adaptive(args):
     config = dataclasses.replace(
         AdaptiveConfig.default_for(n, mode=args.mode),
         kernel=kernel_by_name(args.kernel),
-        log_correction=args.correction,
         **{f: getattr(args, f) for f in flags if getattr(args, f) is not None},
     )
     est = two_stage_log_estimate(x, config, grid)
@@ -215,9 +214,9 @@ def cmd_synth(args):
         spec = ProcessSpec.white(args.sigma2, args.seed)
     else:
         spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
+    grid = _grid_for(args, args.n) if args.truth_out else None
     _write_csv(args.out, None, [generate(spec, args.n)])
-    if args.truth_out:
-        grid = _grid_for(args, args.n)
+    if grid is not None:
         _write_half_grid(args.truth_out, grid, ["value"], [true_spectrum(spec, grid).values])
     return 0
 
@@ -295,7 +294,6 @@ def build_parser():
     p.add_argument("--k-max", type=int)
     p.add_argument("--curvature-halfwidth", type=float)
     p.add_argument("--kernel", default="parabolic", choices=["box", "parabolic"])
-    p.add_argument("--correction", default="full", choices=["full", "per_taper"])
     p.add_argument("--grid-size", type=int)
     p.add_argument("--out", required=True,
                    help="estimate CSV; the K or w profile lands in *_profile.csv")

@@ -125,7 +125,7 @@ class SymmetricToeplitz:
     def quadratic_forms(self, rows):
         """``r^T A r`` for each row r of ``rows`` (k x n)."""
         rows = np.asarray(rows, dtype=np.float64)
-        return np.einsum("ij,jk,ik->i", rows, self.to_dense(), rows)
+        return np.einsum("ij,ij->i", rows @ self.to_dense(), rows)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,19 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(ValueError):
             digamma(-3.0)
+        with pytest.raises(ValueError):
+            digamma(np.array([2.0, 0.0, 5.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(1e-6, 1e6) | st.integers(1, 5000)))
+    def test_array_equals_scalar_calls(self, xs):
+        out = digamma(xs)
+        assert out.shape == xs.shape
+        assert np.array_equal(out, [digamma(v) for v in xs.tolist()])
+
+    def test_scalar_gives_float(self):
+        assert type(digamma(3)) is float and type(digamma(np.float64(3.5))) is float
 
 
 class TestLogBias:
@@ -75,13 +88,6 @@ class TestLogMultitaper:
         est = log_multitaper(np.ones(256), 8)
         bad = ~np.isfinite(est.values)
         assert bad.sum() <= 1  # only the degenerate zero-frequency bin may drop out
-
-    def test_correction_variants_differ_by_constant(self):
-        x = rng.standard_normal(128)
-        full = log_multitaper(x, 8, correction="full")
-        per = log_multitaper(x, 8, correction="per_taper")
-        b = log_bias_b(8)
-        assert np.allclose(per.values - full.values, b - b / 8.0)
 
     def test_white_noise_centering_selects_full_correction(self):
         # empirical resolution of the correction-variant question: only
@@ -215,15 +221,22 @@ class TestCurvaturePilot:
 
     def test_recovers_cosine_log_spectrum_shape(self):
         # spectral synthesis of S(f) = exp(cos 2 pi f); curvature is
-        # -(2 pi)^2 cos(2 pi f), negative at f = 0
-        n = 2048
+        # -(2 pi)^2 cos(2 pi f), negative at f = 0. One draw has sd about
+        # 60 around a mean near -33, so the sign is claimed for the mean
+        # over many draws, with their own generator
+        n, reps = 2048, 100
+        gen = np.random.default_rng(2048)
         f = np.fft.rfftfreq(n)
         amp = np.sqrt(np.exp(np.cos(2.0 * np.pi * f)) / 2.0)
-        g = rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
-        x = np.fft.irfft(amp * g * n**0.5, n)
         cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, curvature_halfwidth=0.08)
-        prof = curvature_pilot(x, cfg)
-        assert prof.values[0] < 0
+        grid = default_grid(n)
+        at_zero = []
+        for _ in range(reps):
+            g = gen.standard_normal(f.size) + 1j * gen.standard_normal(f.size)
+            x = np.fft.irfft(amp * g * n**0.5, n)
+            at_zero.append(curvature_pilot(x, cfg, grid).values[0])
+        mean, se = np.mean(at_zero), np.std(at_zero, ddof=1) / math.sqrt(reps)
+        assert mean + 3.0 * se < 0
 
     def test_degenerate_input_guarded(self):
         x = np.ones(256) + 1e-9 * rng.standard_normal(256)
@@ -355,14 +368,14 @@ class TestPerBinLogProperties:
             log_bias_b(np.array([3, 0, 2]))
 
     @settings(max_examples=40, deadline=None)
-    @given(series_and_profile(), st.sampled_from(["full", "per_taper"]))
-    def test_each_bin_equals_scalar_log_at_its_k(self, data, correction):
+    @given(series_and_profile())
+    def test_each_bin_equals_scalar_log_at_its_k(self, data):
         x, prof = data
         grid = default_grid(x.shape[0])
-        est = log_multitaper(x, prof, grid, correction)
+        est = log_multitaper(x, prof, grid)
         assert np.array_equal(est.k_used, prof) and est.scale == "log"
         for k in np.unique(prof):
-            ref = log_multitaper(x, int(k), grid, correction)
+            ref = log_multitaper(x, int(k), grid)
             sel = prof == k
             # compared as powers, with the tolerance of the linear-scale
             # test above: a power that underflows has no stable log

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -365,6 +366,15 @@ class TestAdaptiveCommand:
         assert ph == ["f", "k"]
         assert len(prows) == len(rows)
 
+    def test_has_no_correction_flag(self, tmp_path, capsys):
+        # the log estimate subtracts psi(K) - ln K only; the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            run(["adaptive", "--input", tmp_path / "x.csv", "--correction", "full",
+                 "--out", tmp_path / "ad.csv"])
+        assert exc.value.code == 2
+        assert "--correction" in capsys.readouterr().err
+        assert not (tmp_path / "ad.csv").exists()
+
 
 class TestCompareCommand:
     def test_report_with_truth(self, tmp_path):
@@ -424,9 +434,32 @@ def input_text(draw):
     return "".join(r + "\n" for r in rows)
 
 
+def run_under_contract(tmp, argv, inputs):
+    """Run ``argv`` in-process and check the failure contract: exit 0, 2 or 3;
+    on 0 no stderr, otherwise one error line, no traceback and no file
+    beyond ``inputs`` in ``tmp``; never an inf or nan cell. Returns the code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    written = sorted(set(os.listdir(tmp)) - set(inputs))
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("error:", "numerical failure:")) and err.count("\n") == 1
+        assert written == [], written
+    for name in written:
+        with open(os.path.join(tmp, name)) as fh:
+            cells = set(re.split(r"[,\n]", fh.read().lower()))
+        assert not cells & {"inf", "-inf", "nan"}, name
+    return code
+
+
 class TestFailureContract:
-    """Every run exits 0, 2 or 3 with one error line and no traceback, and
-    never writes an inf or nan cell."""
+    """Every run exits 0, 2 or 3 with one error line and no traceback, writes
+    no file when it fails, and never writes an inf or nan cell."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -462,17 +495,47 @@ class TestFailureContract:
             argv += ["--input", series, "--out", out]
             if grid_size is not None:
                 argv += ["--grid-size", grid_size]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = run(argv)
-            err = err.getvalue()
-            assert code in (0, 2, 3)
-            assert "Traceback" not in err
+            code = run_under_contract(tmp, argv, ["x.csv", "truth.csv"])
             if code == 0:
-                assert err == "" and os.path.exists(out)
-            else:
-                assert err.startswith(("error:", "numerical failure:")) and err.count("\n") == 1
-            for name in sorted(set(os.listdir(tmp)) - {"x.csv", "truth.csv"}):
-                with open(os.path.join(tmp, name)) as fh:
-                    cells = set(re.split(r"[,\n]", fh.read().lower()))
-                assert not cells & {"inf", "-inf", "nan"}, name
+                assert os.path.exists(out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["sine", "mb", "slepian"]),
+        st.integers(-1, 48),
+        st.integers(-1, 52),
+        st.none() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.1, 0.6,
+                                     1e-300, 5e-324]) | st.floats(1e-3, 0.5),
+        st.none() | st.integers(-1, 32),
+    )
+    @example("sine", 16, 4, None, 0)
+    @example("mb", 1, 1, None, 1)
+    @example("slepian", 16, 4, math.nan, None)
+    @example("slepian", 16, 4, 1e-300, 4)
+    @example("slepian", 16, 20, 0.1, None)
+    def test_tapers(self, family, n, k, w, oversample):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "t.csv")
+            argv = ["tapers", "--family", family, "--n", n, "--k", k, "--out", out]
+            if w is not None:
+                argv.append(f"--w={w!r}")
+            if oversample is not None:
+                argv += ["--window-oversample", oversample]
+            if run_under_contract(tmp, argv, []) == 0:
+                assert sorted(os.listdir(tmp)) == ["t.csv", "t_bias.csv", "t_window.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["white", "ar"]), st.integers(-1, 64),
+           st.none() | st.integers(-2, 600))
+    @example("ar", 32, 1)
+    @example("white", 8, 0)
+    def test_synth_grid_size(self, model, n, grid_size):
+        with tempfile.TemporaryDirectory() as tmp:
+            out, truth = os.path.join(tmp, "x.csv"), os.path.join(tmp, "truth.csv")
+            argv = ["synth", "--model", model, "--n", n, "--out", out, "--truth-out", truth]
+            if model == "ar":
+                argv += ["--coeffs", "0.5,-0.3"]
+            if grid_size is not None:
+                argv += ["--grid-size", grid_size]
+            if run_under_contract(tmp, argv, []) == 0:
+                assert sorted(os.listdir(tmp)) == ["truth.csv", "x.csv"]

@@ -139,6 +139,24 @@ class TestFastPath:
         with pytest.raises(ValueError, match=r"2\*\(n\+1\)"):
             sinusoidal_estimate_fast(np.ones(16), 2, grid=FrequencyGrid(100))
 
+    @pytest.mark.parametrize("per_bin", [False, True], ids=["scalar", "per_bin"])
+    def test_taper_count_must_be_whole(self, per_bin):
+        # one rule for both forms: a whole-valued float is that count, a
+        # fractional one is refused rather than truncated
+        x = rng.standard_normal(64)
+        grid = default_grid(64)
+
+        def k_of(v):
+            return np.full(grid.m, v) if per_bin else v
+
+        ref = sinusoidal_estimate_fast(x, k_of(4), grid=grid)
+        est = sinusoidal_estimate_fast(x, k_of(4.0), grid=grid)
+        assert np.array_equal(est.values, ref.values)
+        assert np.array_equal(est.k_used, ref.k_used)
+        for bad in (4.9, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sinusoidal_estimate_fast(x, k_of(bad), grid=grid)
+
 
 class TestWeights:
     def test_uniform(self):

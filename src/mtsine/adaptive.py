@@ -220,7 +220,15 @@ _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives
 
 
 def _pilot_derivatives(series, config, grid):
-    """Pilot log estimate, its smoothed version, and two grid derivatives."""
+    """Pilot log estimate, its smoothed version, and two grid derivatives.
+
+    The pilot needs at least ``2 * pilot_k`` samples.
+    """
+    n = series.shape[0]
+    if n < 2 * config.pilot_k:
+        raise ValueError(
+            f"series of length {n} is too short for pilot_k={config.pilot_k}"
+        )
     theta = log_multitaper(series, config.pilot_k, grid=grid).values
     if not np.all(np.isfinite(theta)):
         # zero-power bins (possible for degenerate inputs) would poison
@@ -247,10 +255,6 @@ def curvature_pilot(series, config, grid=None):
     differentiated twice by central differences on the grid.
     """
     x = as_series(series)
-    if x.shape[0] < 2 * config.pilot_k:
-        raise ValueError(
-            f"series of length {x.shape[0]} is too short for pilot_k={config.pilot_k}"
-        )
     if grid is None:
         grid = default_grid(x.shape[0])
     _, _, _, th2 = _pilot_derivatives(x, config, grid)

@@ -34,9 +34,9 @@ class WeightScheme:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-d vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        if not np.all(w >= 0):
+            raise ValueError(f"weights must be nonnegative, got {w.min()}")
+        if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to one, got {w.sum()}")
         if self.kind not in ("uniform", "parabolic", "custom"):
             raise ValueError(f"unknown weight kind {self.kind!r}")

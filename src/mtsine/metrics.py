@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tapers import (
-    Taper,
+    _taper_values,
     concentration_matrix,
     local_bias_matrix,
     minimum_bias_family,
@@ -42,19 +42,15 @@ class ComparisonTable:
         return self.values[:, self.column_labels.index(label)]
 
 
-def _values(taper):
-    return taper.values if isinstance(taper, Taper) else Taper(taper).values
-
-
 def local_bias(taper):
     """Frequency-squared energy of the taper's window over the Nyquist band."""
-    v = _values(taper)
+    v = _taper_values(taper)
     return float(local_bias_matrix(v.shape[0]).quadratic_forms(v[None])[0])
 
 
 def concentration(taper, w):
     """Fraction of window energy inside [-w, w]."""
-    v = _values(taper)
+    v = _taper_values(taper)
     return float(concentration_matrix(v.shape[0], w).quadratic_forms(v[None])[0])
 
 

@@ -19,8 +19,9 @@ from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
     Taper,
     TaperFamily,
+    _eigh,
     _fix_signs,
-    local_bias_matrix,
+    _taper_values,
     minimum_bias_family,
     sinusoidal_taper,
 )
@@ -60,7 +61,7 @@ def periodogram_quadratic(n):
 
 def tapered_quadratic(taper):
     """Rank-one estimator of a single tapered periodogram."""
-    v = taper.values if isinstance(taper, Taper) else Taper(taper).values
+    v = _taper_values(taper)
     return QuadraticEstimator(np.outer(v, v))
 
 
@@ -120,12 +121,7 @@ def quadratic_to_multitaper(q, rank_tolerance=1e-10):
     the matrix norm. Weights may be negative for indefinite estimators
     and need not sum to one.
     """
-    try:
-        mu, vec = np.linalg.eigh(q.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition of the order-{q.n} estimator failed: {exc}"
-        ) from exc
+    mu, vec = _eigh(q.matrix, f"order-{q.n} estimator")
     order = np.argsort(-np.abs(mu))
     mu = mu[order]
     vec = vec[:, order]
@@ -134,9 +130,7 @@ def quadratic_to_multitaper(q, rank_tolerance=1e-10):
     # suffix[k] = squared Frobenius norm dropped when keeping the first k pairs
     suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     k = max(1, int(np.argmax(suffix <= budget)))
-    mat = _fix_signs(vec[:, :k])
-    lam = local_bias_matrix(q.n).quadratic_forms(mat)
-    return mu[:k].copy(), TaperFamily(mat, lam, "custom")
+    return mu[:k].copy(), TaperFamily(_fix_signs(vec[:, :k]))
 
 
 def split_cosine_taper(n, taper_fraction):
@@ -186,7 +180,7 @@ def tabulate_table4(weights, family, k_rows=7):
     the minimum-bias taper's value at the same index.
     """
     n = family.n
-    if family.k_count < k_rows:  # pragma: no cover
+    if family.k_count < k_rows:
         k_rows = family.k_count
     norm = bias_normalization(n)
     bias = norm * family.local_biases[:k_rows]

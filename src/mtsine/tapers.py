@@ -9,11 +9,14 @@ Three orthonormal families are constructed on n samples:
 * Slepian tapers (DPSS), which maximize in-band spectral concentration
   for a chosen halfwidth ``w``.
 
-Every taper is unit norm; a family's ``local_biases`` hold the
-frequency-squared energy integral of each member's window.
+Every taper is unit norm. A family is its rows and nothing else: each
+member's local bias, the frequency-squared energy integral of its
+window, is derived from the rows as v^T A v with A the local-bias
+matrix, by one definition for every family.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,42 +52,34 @@ class Taper:
 
 @dataclass(frozen=True)
 class TaperFamily:
-    """Ordered orthonormal taper family with per-taper local biases.
+    """Ordered orthonormal taper family, one taper per row of ``taper_matrix``.
 
-    ``taper_matrix`` holds one taper per row; ``local_biases`` are in
-    squared cycles per sample and are nondecreasing for the sinusoidal
-    and minimum-bias kinds.
+    The rows are the only state. ``local_biases`` derives each taper's
+    local bias v^T A v, A = ``local_bias_matrix(n)``, in squared cycles
+    per sample; it is computed on first use and read-only.
     """
 
     taper_matrix: np.ndarray
-    local_biases: np.ndarray
-    kind: str
-    bandwidth: float | None = None
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.taper_matrix, dtype=np.float64)
-        lam = np.ascontiguousarray(self.local_biases, dtype=np.float64)
         if mat.ndim != 2:
             raise ValueError("taper_matrix must be 2-d (k_count x n)")
         k, n = mat.shape
         if k > n:
             raise ValueError(f"cannot have more tapers than samples: K={k}, n={n}")
-        if lam.shape != (k,):
-            raise ValueError("local_biases must have one entry per taper")
-        if self.kind not in ("sinusoidal", "minimum_bias", "slepian", "custom"):
-            raise ValueError(f"unknown taper family kind {self.kind!r}")
         gram = mat @ mat.T
         dev = np.max(np.abs(gram - np.eye(k)))
-        if dev > _ORTHO_TOL:
+        if not dev <= _ORTHO_TOL:
             raise ValueError(f"family is not orthonormal (Gram deviation {dev:.2e})")
-        if self.kind in ("sinusoidal", "minimum_bias") and np.any(
-            np.diff(lam) < -1e-12
-        ):
-            raise ValueError("local biases must be nondecreasing for this kind")
         mat.flags.writeable = False
-        lam.flags.writeable = False
         object.__setattr__(self, "taper_matrix", mat)
-        object.__setattr__(self, "local_biases", lam)
+
+    @cached_property
+    def local_biases(self):
+        lam = local_bias_matrix(self.n).quadratic_forms(self.taper_matrix)
+        lam.flags.writeable = False
+        return lam
 
     @property
     def n(self):
@@ -140,11 +135,32 @@ class SpectralWindow:
         return self.values.real**2 + self.values.imag**2
 
 
+def _taper_values(taper):
+    """The values of a :class:`Taper`, or of a vector validated as one."""
+    return taper.values if isinstance(taper, Taper) else Taper(taper).values
+
+
+def _eigh(matrix, what):
+    """Eigendecomposition of the symmetric ``matrix``; a failure names ``what``."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition of the {what} failed: {exc}"
+        ) from exc
+
+
 def _fix_signs(cols):
     """The columns of ``cols`` as rows, each negated where its first
     component larger than SIGN_EPS in magnitude is negative."""
     lead = cols[np.argmax(np.abs(cols) > SIGN_EPS, axis=0), np.arange(cols.shape[1])]
     return np.where(lead < -SIGN_EPS, -cols, cols).T.copy()
+
+
+def _sine_rows(n, ks):
+    """Sinusoidal tapers sqrt(2/(n+1)) * sin(pi*k*t/(n+1)), t = 1..n, a row per k."""
+    t = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(ks, t) / (n + 1))
 
 
 def sinusoidal_taper(n, k):
@@ -153,8 +169,7 @@ def sinusoidal_taper(n, k):
         raise ValueError(f"taper length must be positive, got {n}")
     if not 1 <= k <= n:
         raise IndexError(f"taper index k={k} outside 1..{n}")
-    t = np.arange(1, n + 1)
-    return Taper(np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * k * t / (n + 1)))
+    return Taper(_sine_rows(n, [k])[0])
 
 
 def local_bias_matrix(n):
@@ -188,28 +203,18 @@ def concentration_matrix(n, w):
 
 
 def sinusoidal_family(n, k_count):
-    """First ``k_count`` sinusoidal tapers with exact local biases."""
+    """First ``k_count`` sinusoidal tapers (closed form, no eigensolve)."""
     if not 1 <= k_count <= n:
         raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
-    t = np.arange(1, n + 1)
-    k = np.arange(1, k_count + 1)
-    mat = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, t) / (n + 1))
-    return TaperFamily(mat, local_bias_matrix(n).quadratic_forms(mat), "sinusoidal")
+    return TaperFamily(_sine_rows(n, np.arange(1, k_count + 1)))
 
 
 def minimum_bias_family(n, k_count):
     """Tapers minimizing local bias: lowest eigenvectors of the bias matrix."""
     if not 1 <= k_count <= n:
         raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
-    a = local_bias_matrix(n).to_dense()
-    try:
-        lam, vec = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition of the {n}x{n} local-bias matrix failed: {exc}"
-        ) from exc
-    mat = _fix_signs(vec[:, :k_count])
-    return TaperFamily(mat, lam[:k_count], "minimum_bias")
+    _, vec = _eigh(local_bias_matrix(n).to_dense(), f"{n}x{n} local-bias matrix")
+    return TaperFamily(_fix_signs(vec[:, :k_count]))
 
 
 def slepian_family(n, w, k_count):
@@ -219,10 +224,10 @@ def slepian_family(n, w, k_count):
     eigenvalues are well separated even when the concentrations cluster
     exponentially close to one; diagonalizing the concentration matrix
     directly returns an arbitrary basis inside those near-degenerate
-    clusters. ``local_biases`` hold each taper's local bias (not its
-    concentration). The boundary w = 1/2 is accepted as the degenerate
-    full-band case, where every orthonormal family is equally
-    concentrated.
+    clusters. The family keeps only its rows, so its ``local_biases`` are
+    each taper's local bias, as for every family, not its concentration.
+    The boundary w = 1/2 is accepted as the degenerate full-band case,
+    where every orthonormal family is equally concentrated.
     """
     if not 0.0 < w <= 0.5:
         raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
@@ -232,15 +237,8 @@ def slepian_family(n, w, k_count):
     diag = ((n - 1 - 2.0 * i) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = i[1:] * (n - i[1:]) / 2.0
     tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    try:
-        _, vec = np.linalg.eigh(tri)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise np.linalg.LinAlgError(
-            f"Slepian tridiagonal eigendecomposition failed for n={n}: {exc}"
-        ) from exc
-    mat = _fix_signs(vec[:, ::-1][:, :k_count])
-    lam = local_bias_matrix(n).quadratic_forms(mat)
-    return TaperFamily(mat, lam, "slepian", bandwidth=float(w))
+    _, vec = _eigh(tri, f"order-{n} Slepian tridiagonal operator")
+    return TaperFamily(_fix_signs(vec[:, ::-1][:, :k_count]))
 
 
 def spectral_window(taper, grid=None):
@@ -249,7 +247,7 @@ def spectral_window(taper, grid=None):
     Uses the 1-based sample convention V(f) = sum_t v_t e^(-i*2*pi*t*f),
     t = 1..n, so the first sample carries the phase factor e^(-i*2*pi*f).
     """
-    v = taper.values if isinstance(taper, Taper) else Taper(taper).values
+    v = _taper_values(taper)
     if grid is None:
         grid = window_grid(v.shape[0])
     if grid.m < v.shape[0]:

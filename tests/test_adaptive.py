@@ -444,6 +444,16 @@ class TestTwoStage:
         )
         assert err_ad < worst
 
+    @pytest.mark.parametrize("estimate", [curvature_pilot, two_stage_log_estimate])
+    def test_pilot_needs_twice_pilot_k_samples(self, estimate):
+        cfg = AdaptiveConfig(pilot_k=12, k_min=4, k_max=16)
+        with pytest.raises(ValueError, match="too short for pilot_k=12"):
+            estimate(np.random.default_rng(16).standard_normal(16), cfg)
+
+    def test_default_configs_meet_the_pilot_length(self):
+        for n in range(8, 4096):
+            assert 2 * AdaptiveConfig.default_for(n).pilot_k <= n
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(pilot_k=4, k_min=8, k_max=64)

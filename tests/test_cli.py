@@ -328,12 +328,15 @@ class TestTablesCommand:
         assert len(rows) == 7
 
     def test_table4_honours_n(self, tmp_path):
-        out = tmp_path / "t4.csv"
-        assert run(["tables", "--which", "4", "--n", "50", "--out", out]) == 0
-        _, rows = read_csv(out)
-        got = np.array([[float(c) for c in row[1:]] for row in rows])
-        assert np.array_equal(got, table4_experiment(n=50).values)
-        assert got[0, 0] != pytest.approx(table4_experiment(n=200).values[0, 0])
+        # both lengths decompose into fewer tapers than the 7 rows asked for
+        for n, k_count in ((50, 6), (3, 3)):
+            out = tmp_path / f"t4_{n}.csv"
+            assert run(["tables", "--which", "4", "--n", n, "--out", out]) == 0
+            _, rows = read_csv(out)
+            got = np.array([[float(c) for c in row[1:]] for row in rows])
+            assert got.shape == (k_count, 3)
+            assert np.array_equal(got, table4_experiment(n=n).values)
+            assert got[0, 0] != pytest.approx(table4_experiment(n=200).values[0, 0])
 
     def test_table4_eigenvector_dump(self, tmp_path):
         out = tmp_path / "t4.csv"
@@ -365,6 +368,15 @@ class TestAdaptiveCommand:
         ph, prows = read_csv(tmp_path / "ad_profile.csv")
         assert ph == ["f", "k"]
         assert len(prows) == len(rows)
+
+    def test_short_series_for_pilot_exits_two(self, tmp_path, capsys):
+        series = tmp_path / "x.csv"
+        assert run(["synth", "--model", "white", "--n", "16", "--out", series]) == 0
+        out = tmp_path / "ad.csv"
+        assert run(["adaptive", "--input", series, "--pilot-k", "12", "--k-max", "16",
+                    "--out", out]) == 2
+        assert "too short for pilot_k=12" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "ad_profile.csv").exists()
 
     def test_has_no_correction_flag(self, tmp_path, capsys):
         # the log estimate subtracts psi(K) - ln K only; the flag is gone

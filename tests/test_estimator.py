@@ -12,7 +12,6 @@ from mtsine import (
     dft,
     expected_square_error,
     k_opt,
-    local_bias,
     make_weights,
     multitaper_estimate,
     sinusoidal_estimate_fast,
@@ -54,7 +53,7 @@ class TestDft:
 
 def uniform_taper_family(n):
     v = np.full((1, n), n**-0.5)
-    return TaperFamily(v, np.array([local_bias(v[0])]), "custom")
+    return TaperFamily(v)
 
 
 class TestMultitaperEstimate:
@@ -177,6 +176,10 @@ class TestWeights:
             WeightScheme(np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             WeightScheme(np.array([-0.5, 1.5]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            WeightScheme(np.array([np.nan]))
 
 
 class TestExpectedSquareError:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mtsine import (
     FrequencyGrid,
     Taper,
+    TaperFamily,
     concentration_matrix,
     continuous_mb_window,
     local_bias_matrix,
@@ -106,11 +109,32 @@ class TestMinimumBiasFamily:
             )
             assert (n + 2) / (k + 1) * d < 0.25
 
+    @pytest.mark.parametrize("n, k", [(20, 20), (50, 10), (200, 16), (800, 800)])
+    def test_local_biases_are_lowest_eigenvalues(self, n, k):
+        lam = np.linalg.eigvalsh(local_bias_matrix(n).to_dense())[:k]
+        lam_mb = minimum_bias_family(n, k).local_biases
+        np.testing.assert_allclose(lam_mb, lam, rtol=1e-10)
+
     def test_sign_convention(self):
         fam = minimum_bias_family(30, 30)
         for row in fam.taper_matrix:
             lead = row[np.abs(row) > 1e-8][0]
             assert lead > 0
+
+
+class TestLocalBiases:
+    @pytest.mark.parametrize("make", [sinusoidal_family, minimum_bias_family])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (7, 3), (50, 50), (200, 40)])
+    def test_nondecreasing(self, make, n, k):
+        assert np.all(np.diff(make(n, k).local_biases) >= -1e-12)
+
+    def test_read_only(self):
+        fam = sinusoidal_family(16, 4)
+        lam = fam.local_biases
+        assert lam is fam.local_biases
+        assert not lam.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.local_biases = np.zeros(4)
 
 
 class TestSlepianFamily:
@@ -249,6 +273,10 @@ class TestValidation:
     def test_taper_finite_enforced(self):
         with pytest.raises(ValueError):
             Taper(np.array([np.nan, 1.0]))
+
+    def test_family_rejects_nan(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            TaperFamily(np.full((1, 4), np.nan))
 
     def test_family_bounds(self):
         with pytest.raises(ValueError):

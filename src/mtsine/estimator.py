@@ -6,13 +6,16 @@ shifted differences of a single zero-padded transform,
 
     S_hat(f) = sum_j mu_j / (2*(n+1)) * |y(f + j/(2n+2)) - y(f - j/(2n+2))|^2,
 
-which costs one FFT instead of K. Both paths agree to round-off on
-grids whose size is a multiple of 2*(n+1). The fast estimator is one
-function for a single K and for a per-bin K(f): the paper's local
-bandwidth is the same formula with K read at f.
+which costs one transform instead of K. Both paths agree to round-off on
+grids whose size is a multiple of 2*(n+1). Every transform is the
+chirp-z transform behind :func:`dft`, whose cost does not depend on the
+factors of the grid size. The fast estimator is one function for a
+single K and for a per-bin K(f): the paper's local bandwidth is the
+same formula with K read at f.
 """
 
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -123,22 +126,95 @@ def make_weights(kind, k_count):
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
+def _smooth_length(size):
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is >= ``size``."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < size:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(n, m):
+    """Chirp w and transformed conjugate chirp for :func:`_half_transform`.
+
+    w_s = exp(-i*pi*s^2/m), with s^2 reduced mod 2m exactly in int64. The
+    kernel conj(w_d), d = -n..m//2, lies circularly in one buffer of the
+    smallest 5-smooth length >= n + m//2 + 1, moved one place on so that
+    sample t = 1 can sit at index 0. Both arrays are read-only; together
+    they hold 16 * (max(n + 1, m//2 + 1) + length) bytes.
+    """
+    half = m // 2 + 1
+    length = _smooth_length(n + half)
+    s = np.arange(max(n + 1, half), dtype=np.int64)
+    w = np.exp((-1j * np.pi / m) * ((s * s) % (2 * m)))
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:half] = w[:half].conj()
+    kernel[length - n :] = w[n:0:-1].conj()
+    kernel_hat = np.fft.fft(np.roll(kernel, 1))
+    w.flags.writeable = False
+    kernel_hat.flags.writeable = False
+    return w, kernel_hat
+
+
+def _half_transform(a, m):
+    """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, for k = 0..m//2.
+
+    A chirp-z (Bluestein) transform over the last axis: with
+    t*k = (t^2 + k^2 - (k - t)^2)/2 the sum is w_k times the linear
+    convolution of a_t w_t with conj(w), done by one forward and one
+    inverse FFT at a 5-smooth length, whatever the factors of m.
+    """
+    n = a.shape[-1]
+    w, kernel_hat = _chirp_plan(n, m)
+    z = np.fft.fft(a * w[1 : n + 1], kernel_hat.shape[0])
+    z *= kernel_hat
+    z = np.fft.ifft(z)
+    return z[..., : m // 2 + 1] * w[: m // 2 + 1]
+
+
+def _mirror(half, m):
+    """Full circular grid from bins 0..m//2 of an even (or Hermitian) sequence."""
+    return np.concatenate([half, half[..., m - half.shape[-1] : 0 : -1].conj()], axis=-1)
+
+
 def dft(series, grid):
     """Transform y(f_j) = sum_t x_t e^(-i*2*pi*t*f_j) with t starting at 1.
 
-    Zero-padded FFT with the phase factor e^(-i*2*pi*f) on the first
-    sample, matching the windows in :mod:`mtsine.tapers`.
+    The sample numbering matches the windows in :mod:`mtsine.tapers`.
+    Bins 0..m//2 come from a chirp-z transform whose FFTs have a 5-smooth
+    length near n + m/2, so the factors of m (4*(2^p + 1) on the default
+    grid at n = 2^p) do not set the cost; the other bins are their
+    conjugates, y(-f) = conj y(f), and y(0) and y(1/2) are real. The
+    chirp plan for the last (n, m) is cached.
     """
     x = as_series(series)
-    if grid.m < x.shape[0]:
-        raise ValueError(f"grid size {grid.m} must be at least the series length")
-    y = np.fft.fft(x, grid.m)
-    y *= np.exp(-2j * np.pi * np.arange(grid.m) / grid.m)
-    return y
+    m = grid.m
+    if m < x.shape[0]:
+        raise ValueError(f"grid size {m} must be at least the series length")
+    half = _half_transform(x, m)
+    half.imag[0] = 0.0
+    if m % 2 == 0:
+        half.imag[-1] = 0.0
+    return _mirror(half, m)
 
 
 def multitaper_estimate(series, family, weights, grid=None):
-    """Weighted average of tapered periodograms for any orthonormal family."""
+    """Weighted average of tapered periodograms for any orthonormal family.
+
+    Each tapered series goes through the chirp-z transform behind
+    :func:`dft` (bins 0..m//2, mirrored to the full grid: a periodogram of
+    a real series is even), so K tapers cost K transforms at a 5-smooth
+    length rather than K FFTs of length m.
+    """
     x = as_series(series)
     if not isinstance(family, TaperFamily):
         raise TypeError("family must be a TaperFamily")
@@ -154,8 +230,8 @@ def multitaper_estimate(series, family, weights, grid=None):
         grid = default_grid(x.shape[0])
     if grid.m < 2 * x.shape[0]:
         raise ValueError(f"estimation grid must have m >= 2n, got m={grid.m}")
-    z = np.fft.fft(family.taper_matrix * x[None, :], grid.m, axis=1)
-    values = weights.weights @ (z.real**2 + z.imag**2)
+    z = _half_transform(family.taper_matrix * x[None, :], grid.m)
+    values = _mirror(weights.weights @ (z.real**2 + z.imag**2), grid.m)
     return SpectralEstimate(grid, values, family.k_count, weights)
 
 

@@ -17,7 +17,7 @@ from mtsine import (
     sinusoidal_estimate_fast,
     sinusoidal_family,
 )
-from mtsine.estimator import asymptotic_sinusoidal_loss
+from mtsine.estimator import _chirp_plan, _smooth_length, asymptotic_sinusoidal_loss
 
 rng = np.random.default_rng(23)
 
@@ -49,6 +49,69 @@ class TestDft:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             dft(np.ones(16), FrequencyGrid(8))
+
+
+def dft_at_bins(x, m, bins):
+    """Direct sums at bins k of an m-point grid, t*k reduced mod m exactly."""
+    t = np.arange(1, len(x) + 1, dtype=np.int64)
+    return np.array([np.sum(x * np.exp(-2j * np.pi * ((t * k) % m) / m)) for k in bins])
+
+
+def assert_matches_direct(x, m, bins):
+    y = dft(x, FrequencyGrid(m))
+    ref = dft_at_bins(x, m, bins)
+    assert np.max(np.abs(y[bins] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestChirpTransform:
+    # (n, m): odd m, prime m, m = n, and the default grid 4(n+1) at n = 2^p
+    GRIDS = [(50, 151), (64, 131), (97, 97), (100, 100), (33, 2 * 33)] + [
+        (2**p, default_grid(2**p).m) for p in range(4, 11)
+    ]
+
+    @pytest.mark.parametrize("n,m", GRIDS)
+    def test_matches_direct_sum_at_every_bin(self, n, m):
+        assert_matches_direct(rng.standard_normal(n), m, np.arange(m))
+
+    @pytest.mark.parametrize("n", [2**17, 131_070])  # 131_071 = n + 1 is prime
+    def test_large_default_grid_at_random_bins(self, n):
+        m = default_grid(n).m
+        assert_matches_direct(rng.standard_normal(n), m, rng.integers(0, m, 16))
+
+    @pytest.mark.parametrize("n,m", GRIDS)
+    def test_conjugate_symmetric_bitwise(self, n, m):
+        y = dft(rng.standard_normal(n), FrequencyGrid(m))
+        assert np.array_equal(y[:0:-1], y[1:].conj())
+        assert y[0].imag == 0.0
+        if m % 2 == 0:
+            assert y[m // 2].imag == 0.0
+
+    def test_mutating_the_result_leaves_the_next_call(self):
+        x = rng.standard_normal(40)
+        grid = default_grid(40)
+        first = dft(x, grid)
+        ref = first.copy()
+        first *= 3.0
+        assert np.array_equal(dft(x, grid), ref)
+
+    def test_smooth_length_is_the_next_5_smooth_integer(self):
+        def smooth(v):
+            for p in (2, 3, 5):
+                while v % p == 0:
+                    v //= p
+            return v == 1
+
+        smooth_upto = [v for v in range(1, 2100) if smooth(v)]
+        for size in range(1, 2000):
+            assert _smooth_length(size) == next(v for v in smooth_upto if v >= size)
+        assert _smooth_length(2**17 + 262146 + 1) == 393_660
+
+    def test_caches_one_read_only_plan(self):
+        dft(np.ones(30), FrequencyGrid(200))
+        dft(np.ones(31), FrequencyGrid(200))
+        assert _chirp_plan.cache_info().currsize == 1
+        for a in _chirp_plan(31, 200):
+            assert not a.flags.writeable
 
 
 def uniform_taper_family(n):
@@ -255,6 +318,19 @@ def series_and_k(draw):
     return x, draw(st.integers(1, x.shape[0]))
 
 
+@st.composite
+def series_and_weights(draw):
+    x, k = draw(series_and_k())
+    raw = draw(hnp.arrays(np.float64, k, elements=st.floats(0.0, 1.0)))
+    raw[draw(st.integers(0, k - 1))] += 1.0
+    return x, WeightScheme(raw / raw.sum())
+
+
+def assert_even(values):
+    # values[i] is the estimate at f_i = i/m, values[(m - i) % m] the one at -f_i
+    assert np.array_equal(values, np.roll(values[::-1], 1))
+
+
 class TestFastPathProperties:
     @settings(max_examples=40, deadline=None)
     @given(series_and_k(), st.sampled_from(["uniform", "parabolic"]))
@@ -271,6 +347,17 @@ class TestFastPathProperties:
         x, k = data
         base = sinusoidal_estimate_fast(x, k).values
         assert_close(sinusoidal_estimate_fast(c * x, k).values, c * c * base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(series_and_weights())
+    def test_estimate_is_exactly_even(self, data):
+        x, w = data
+        assert_even(sinusoidal_estimate_fast(x, w.k_count, w).values)
+
+    @pytest.mark.parametrize("kind", ["uniform", "parabolic"])
+    def test_estimate_is_exactly_even_at_n_4096(self, kind):
+        x = np.random.default_rng(11).standard_normal(4096)
+        assert_even(sinusoidal_estimate_fast(x, 32, kind).values)
 
     @settings(max_examples=40, deadline=None)
     @given(series_and_k())

@@ -8,8 +8,11 @@ the shifts, each taking only the bins whose count reaches it.
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
 0 = box, 1 = parabolic (Epanechnikov); weights are renormalized to sum
-to one, so constants pass through unchanged.
+to one, so constants pass through unchanged. Every transform in the
+package is the chirp-z :func:`_half_transform`, mirrored by :func:`_mirror`.
 """
+
+import functools
 
 import numpy as np
 
@@ -203,3 +206,72 @@ def smooth_variable(values, half_bins, kernel_id):
     """Smooth with ``half_bins[i]`` whole bins on each side of bin i."""
     half_bins = np.ascontiguousarray(half_bins, dtype=np.int64)
     return window_average(_f64(values), half_bins, half_bins, int(kernel_id))
+
+
+# ---------------------------------------------------------------------------
+# the chirp-z transform of a real sequence
+# ---------------------------------------------------------------------------
+
+def _smooth_length(size):
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is >= ``size``."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < size:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(n, m):
+    """Chirp w and transformed conjugate chirp for :func:`_half_transform`.
+
+    w_s = exp(-i*pi*s^2/m), with s^2 reduced mod 2m exactly in int64. The
+    kernel conj(w_d), d = -n..m//2, lies circularly in one buffer of the
+    smallest 5-smooth length >= n + m//2 + 1, moved one place on so that
+    sample t = 1 can sit at index 0. Both arrays are read-only; together
+    they hold 16 * (max(n + 1, m//2 + 1) + length) bytes.
+    """
+    half = m // 2 + 1
+    length = _smooth_length(n + half)
+    s = np.arange(max(n + 1, half), dtype=np.int64)
+    w = np.exp((-1j * np.pi / m) * ((s * s) % (2 * m)))
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:half] = w[:half].conj()
+    kernel[length - n :] = w[n:0:-1].conj()
+    kernel_hat = np.fft.fft(np.roll(kernel, 1))
+    w.flags.writeable = False
+    kernel_hat.flags.writeable = False
+    return w, kernel_hat
+
+
+def _half_transform(a, m):
+    """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, for k = 0..m//2.
+
+    A chirp-z (Bluestein) transform over the last axis: with
+    t*k = (t^2 + k^2 - (k - t)^2)/2 the sum is w_k times the linear
+    convolution of a_t w_t with conj(w), done by one forward and one
+    inverse FFT at a 5-smooth length, whatever the factors of m.
+    """
+    n = a.shape[-1]
+    w, kernel_hat = _chirp_plan(n, m)
+    z = np.fft.fft(a * w[1 : n + 1], kernel_hat.shape[0])
+    z *= kernel_hat
+    z = np.fft.ifft(z)
+    return z[..., : m // 2 + 1] * w[: m // 2 + 1]
+
+
+def _mirror(half, m):
+    """Full circular grid from bins 0..m//2 of an even or (if complex,
+    made real in place at bins 0 and m/2) Hermitian sequence."""
+    if np.iscomplexobj(half):
+        half.imag[..., 0] = 0.0
+        if m % 2 == 0:
+            half.imag[..., -1] = 0.0
+    return np.concatenate([half, half[..., m - half.shape[-1] : 0 : -1].conj()], axis=-1)

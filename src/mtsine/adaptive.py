@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .estimator import (SpectralEstimate, as_series, k_opt, make_weights,
                         sinusoidal_estimate_fast)
-from .grid import FrequencyGrid, default_grid
+from .grid import FrequencyGrid, _own_array, default_grid
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def kernel_smooth(values, kernel, w, grid):
     within ``w`` and renormalized to unit mass, so constants are preserved
     exactly. The halfwidth must cover at least one grid step.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape != (grid.m,):
+    if np.shape(values) != (grid.m,):
         raise ValueError("values must have one entry per grid bin")
     if not 0.0 < w <= 0.5:
         raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
@@ -207,13 +206,8 @@ class CurvatureProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.m,):
+        if _own_array(self, "values", 1).shape != (self.grid.m,):
             raise ValueError("values must have one entry per grid bin")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curvature values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
 
 _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives

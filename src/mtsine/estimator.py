@@ -15,12 +15,11 @@ same formula with K read at f.
 """
 
 from dataclasses import dataclass
-import functools
 
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, default_grid
+from .grid import FrequencyGrid, _own_array, default_grid
 from .tapers import TaperFamily
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -34,17 +33,13 @@ class WeightScheme:
     kind: str = "custom"
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-d vector")
+        w = _own_array(self, "weights", 1)
         if not np.all(w >= 0):
             raise ValueError(f"weights must be nonnegative, got {w.min()}")
         if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to one, got {w.sum()}")
         if self.kind not in ("uniform", "parabolic", "custom"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
 
     @property
     def k_count(self):
@@ -70,27 +65,26 @@ class SpectralEstimate:
     w_used: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = _own_array(self, "values", 1, finite=False)
         if vals.shape != (self.grid.m,):
             raise ValueError("values must have one entry per grid bin")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.scale == "linear" and not np.all(np.isfinite(vals)):
             raise FloatingPointError(
-                "spectral estimate overflowed: linear-scale values must be finite"
-            )
+                "spectral estimate overflowed: linear-scale values must be finite")
         if self.scale == "linear" and np.any(vals < 0):
             raise ValueError("linear-scale spectral values must be nonnegative")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        if np.ndim(self.k_used) > 0:
+            _own_array(self, "k_used", 1, np.int64)
+        if self.w_used is not None:
+            _own_array(self, "w_used", 1)
 
     def metadata(self):
         k = self.k_used
-        if isinstance(k, np.ndarray):
-            k = [int(v) for v in k]
         return {
             "grid_m": self.grid.m,
-            "k_used": k,
+            "k_used": k.tolist() if isinstance(k, np.ndarray) else k,
             "weights": None if self.weights is None else self.weights.kind,
             "scale": self.scale,
         }
@@ -126,66 +120,6 @@ def make_weights(kind, k_count):
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def _smooth_length(size):
-    """Smallest 5-smooth integer (2^a 3^b 5^c) that is >= ``size``."""
-    best = 1 << (size - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < size:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-@functools.lru_cache(maxsize=1)
-def _chirp_plan(n, m):
-    """Chirp w and transformed conjugate chirp for :func:`_half_transform`.
-
-    w_s = exp(-i*pi*s^2/m), with s^2 reduced mod 2m exactly in int64. The
-    kernel conj(w_d), d = -n..m//2, lies circularly in one buffer of the
-    smallest 5-smooth length >= n + m//2 + 1, moved one place on so that
-    sample t = 1 can sit at index 0. Both arrays are read-only; together
-    they hold 16 * (max(n + 1, m//2 + 1) + length) bytes.
-    """
-    half = m // 2 + 1
-    length = _smooth_length(n + half)
-    s = np.arange(max(n + 1, half), dtype=np.int64)
-    w = np.exp((-1j * np.pi / m) * ((s * s) % (2 * m)))
-    kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:half] = w[:half].conj()
-    kernel[length - n :] = w[n:0:-1].conj()
-    kernel_hat = np.fft.fft(np.roll(kernel, 1))
-    w.flags.writeable = False
-    kernel_hat.flags.writeable = False
-    return w, kernel_hat
-
-
-def _half_transform(a, m):
-    """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, for k = 0..m//2.
-
-    A chirp-z (Bluestein) transform over the last axis: with
-    t*k = (t^2 + k^2 - (k - t)^2)/2 the sum is w_k times the linear
-    convolution of a_t w_t with conj(w), done by one forward and one
-    inverse FFT at a 5-smooth length, whatever the factors of m.
-    """
-    n = a.shape[-1]
-    w, kernel_hat = _chirp_plan(n, m)
-    z = np.fft.fft(a * w[1 : n + 1], kernel_hat.shape[0])
-    z *= kernel_hat
-    z = np.fft.ifft(z)
-    return z[..., : m // 2 + 1] * w[: m // 2 + 1]
-
-
-def _mirror(half, m):
-    """Full circular grid from bins 0..m//2 of an even (or Hermitian) sequence."""
-    return np.concatenate([half, half[..., m - half.shape[-1] : 0 : -1].conj()], axis=-1)
-
-
 def dft(series, grid):
     """Transform y(f_j) = sum_t x_t e^(-i*2*pi*t*f_j) with t starting at 1.
 
@@ -200,11 +134,7 @@ def dft(series, grid):
     m = grid.m
     if m < x.shape[0]:
         raise ValueError(f"grid size {m} must be at least the series length")
-    half = _half_transform(x, m)
-    half.imag[0] = 0.0
-    if m % 2 == 0:
-        half.imag[-1] = 0.0
-    return _mirror(half, m)
+    return _kernels._mirror(_kernels._half_transform(x, m), m)
 
 
 def multitaper_estimate(series, family, weights, grid=None):
@@ -230,8 +160,8 @@ def multitaper_estimate(series, family, weights, grid=None):
         grid = default_grid(x.shape[0])
     if grid.m < 2 * x.shape[0]:
         raise ValueError(f"estimation grid must have m >= 2n, got m={grid.m}")
-    z = _half_transform(family.taper_matrix * x[None, :], grid.m)
-    values = _mirror(weights.weights @ (z.real**2 + z.imag**2), grid.m)
+    z = _kernels._half_transform(family.taper_matrix * x[None, :], grid.m)
+    values = _kernels._mirror(weights.weights @ (z.real**2 + z.imag**2), grid.m)
     return SpectralEstimate(grid, values, family.k_count, weights)
 
 
@@ -279,7 +209,7 @@ def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
         weights = None
     else:
         values = _kernels.combine_shifts(y, weights.weights / (2.0 * (n + 1)), step)
-    return SpectralEstimate(grid, np.maximum(values, 0.0), k, weights)
+    return SpectralEstimate(grid, np.maximum(values, 0.0, out=values), k, weights)
 
 
 def expected_square_error(s, s2, weights, local_biases):

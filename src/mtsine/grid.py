@@ -7,19 +7,39 @@ f_j = j/m, j = 0..m-1, wrapped to [-1/2, 1/2) in FFT order.
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import operator
 
 import numpy as np
 
 
+def _own_array(value, name, ndim, dtype=np.float64, finite=True):
+    """How a value type takes an array: set field ``name`` of the frozen ``value``
+    to a private read-only C-contiguous ``dtype`` copy and return it, after
+    checking ``ndim``, at least one entry and, if ``finite``, finite entries."""
+    a = np.array(getattr(value, name), dtype=dtype, order="C")
+    if a.ndim != ndim or a.size < 1:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array")
+    if finite and not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    a.flags.writeable = False
+    object.__setattr__(value, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform circular frequency grid with ``m`` points."""
+    """Uniform circular frequency grid with ``m`` points, ``m`` an integer."""
 
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"grid needs at least 2 points, got m={self.m}")
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            raise ValueError(f"grid size m must be an integer, got m={self.m!r}") from None
+        if m < 2:
+            raise ValueError(f"grid needs at least 2 points, got m={m}")
+        object.__setattr__(self, "m", m)
 
     @cached_property
     def frequencies(self):

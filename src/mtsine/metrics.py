@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import _own_array
 from .tapers import (
     _taper_values,
     concentration_matrix,
@@ -28,13 +29,9 @@ class ComparisonTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = _own_array(self, "values", 2)
         if vals.shape != (len(self.row_labels), len(self.column_labels)):
             raise ValueError("table dimensions do not match the labels")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("table values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "column_labels", tuple(self.column_labels))
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import BOX, EPANECHNIKOV
+from .grid import _own_array
 from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
     Taper,
@@ -36,16 +37,12 @@ class QuadraticEstimator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        q = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
+        q = _own_array(self, "matrix", 2)
+        if q.shape[0] != q.shape[1]:
             raise ValueError("quadratic estimator must be a square matrix")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("matrix entries must be finite")
         scale = max(np.max(np.abs(q)), 1.0)
         if np.max(np.abs(q - q.T)) > _SYMMETRY_TOL * scale:
             raise ValueError("matrix must be symmetric")
-        q.flags.writeable = False
-        object.__setattr__(self, "matrix", q)
 
     @property
     def n(self):

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import FrequencyGrid, window_grid
+from . import _kernels
+from .grid import FrequencyGrid, _own_array, window_grid
 
 SIGN_EPS = 1e-8  # leading-component threshold for the eigenvector sign rule
 _UNIT_NORM_TOL = 1e-12
@@ -34,16 +35,10 @@ class Taper:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("taper must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("taper values must be finite")
+        v = _own_array(self, "values", 1)
         norm = np.dot(v, v)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"taper must have unit norm, got sum of squares {norm}")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     @property
     def n(self):
@@ -62,9 +57,7 @@ class TaperFamily:
     taper_matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.taper_matrix, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValueError("taper_matrix must be 2-d (k_count x n)")
+        mat = _own_array(self, "taper_matrix", 2, finite=False)  # nan fails the Gram check
         k, n = mat.shape
         if k > n:
             raise ValueError(f"cannot have more tapers than samples: K={k}, n={n}")
@@ -72,8 +65,6 @@ class TaperFamily:
         dev = np.max(np.abs(gram - np.eye(k)))
         if not dev <= _ORTHO_TOL:
             raise ValueError(f"family is not orthonormal (Gram deviation {dev:.2e})")
-        mat.flags.writeable = False
-        object.__setattr__(self, "taper_matrix", mat)
 
     @cached_property
     def local_biases(self):
@@ -101,13 +92,7 @@ class SymmetricToeplitz:
     first_row: np.ndarray
 
     def __post_init__(self):
-        r = np.ascontiguousarray(self.first_row, dtype=np.float64)
-        if r.ndim != 1 or r.size < 1:
-            raise ValueError("first_row must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("matrix entries must be finite")
-        r.flags.writeable = False
-        object.__setattr__(self, "first_row", r)
+        _own_array(self, "first_row", 1)
 
     @property
     def n(self):
@@ -129,6 +114,10 @@ class SpectralWindow:
 
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if _own_array(self, "values", 1, np.complex128).shape != (self.grid.m,):
+            raise ValueError("values must have one entry per grid bin")
 
     @property
     def power(self):
@@ -246,15 +235,15 @@ def spectral_window(taper, grid=None):
 
     Uses the 1-based sample convention V(f) = sum_t v_t e^(-i*2*pi*t*f),
     t = 1..n, so the first sample carries the phase factor e^(-i*2*pi*f).
+    Bins 0..m//2 come from the chirp-z transform behind :func:`mtsine.estimator.dft`
+    and the rest are their conjugates, V(-f) = conj V(f).
     """
     v = _taper_values(taper)
     if grid is None:
         grid = window_grid(v.shape[0])
     if grid.m < v.shape[0]:
         raise ValueError(f"grid size {grid.m} must be at least the taper length")
-    vals = np.fft.fft(v, grid.m)
-    vals *= np.exp(-2j * np.pi * np.arange(grid.m) / grid.m)
-    return SpectralWindow(grid, vals)
+    return SpectralWindow(grid, _kernels._mirror(_kernels._half_transform(v, grid.m), grid.m))
 
 
 def _dirichlet_ratio(g, n):

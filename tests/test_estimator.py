@@ -17,7 +17,8 @@ from mtsine import (
     sinusoidal_estimate_fast,
     sinusoidal_family,
 )
-from mtsine.estimator import _chirp_plan, _smooth_length, asymptotic_sinusoidal_loss
+from mtsine._kernels import _chirp_plan, _smooth_length
+from mtsine.estimator import asymptotic_sinusoidal_loss
 
 rng = np.random.default_rng(23)
 

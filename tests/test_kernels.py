@@ -1,9 +1,12 @@
-"""Kernel checks: the smoother against a direct sum.
+"""Kernel checks: the smoother against a direct sum, and one home for the FFT.
 
-The shift combines and the AR recursion are pinned through their
-callers (tests/test_adaptive.py, tests/test_estimator.py and
-tests/test_synth.py).
+The shift combines, the AR recursion and the chirp-z transform are
+pinned through their callers (tests/test_adaptive.py,
+tests/test_estimator.py, tests/test_synth.py and tests/test_tapers.py).
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,3 +121,22 @@ def test_fixed_scale_matches_direct_sum(values, scale, kernel_id):
     half = np.full(values.shape[0], int(np.floor(scale)))
     assert_close_to_direct(got, values, half, scale, kernel_id)
 
+
+def _fft_calls(path):
+    """Line numbers of the ``<...>.fft.fft(...)`` and ``<...>.fft.ifft(...)`` calls."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("fft", "ifft")
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "fft"
+    ]
+
+
+def test_fft_is_called_only_in_the_kernels():
+    """Every transform goes through the one chirp-z transform in _kernels.py."""
+    calls = {p.name: _fft_calls(p) for p in Path(_kernels.__file__).parent.glob("*.py")}
+    assert calls.pop("_kernels.py")
+    assert {name: lines for name, lines in calls.items() if lines} == {}

@@ -196,6 +196,17 @@ class TestSpectralWindow:
         # bins j and m - j hold f and -f
         assert np.max(np.abs(mags[1:] - mags[1:][::-1])) < 1e-12
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_awkward_length_matches_closed_form_and_is_hermitian(self, k):
+        # the window grid 16n has the prime factor n = 1031
+        n = 1031
+        win = spectral_window(sinusoidal_taper(n, k))
+        closed = sinusoidal_window_closed(n, k, win.grid.frequencies)
+        assert np.max(np.abs(win.values - closed)) < 1e-10
+        # bins j and m - j hold f and -f
+        assert np.array_equal(win.values[1:], win.values[:0:-1].conj())
+        assert win.values[0].imag == 0.0
+
     def test_quadratic_form_matches_quadrature(self):
         # fine-grid quadrature of f^2 |V|^2 equals the local-bias form
         n = 32

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .estimator import (SpectralEstimate, as_series, k_opt, make_weights,
                         sinusoidal_estimate_fast)
-from .grid import FrequencyGrid, _own_array, default_grid
+from .grid import FrequencyGrid, _count, _halfwidth, _own_array, default_grid
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,7 @@ def kernel_smooth(values, kernel, w, grid):
     """
     if np.shape(values) != (grid.m,):
         raise ValueError("values must have one entry per grid bin")
-    if not 0.0 < w <= 0.5:
-        raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
-    return _kernels.smooth_circular(values, w * grid.m, kernel.kernel_id)
+    return _kernels.smooth_circular(values, _halfwidth(w) * grid.m, kernel.kernel_id)
 
 
 def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
@@ -134,8 +132,7 @@ def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
     if that is smaller, and stop when a step changes no value. The result
     is clamped to [2/grid_m, 1/4]. Accepts scalar or array ``theta2``.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n, k_count = _count(n, "n", lo=2), _count(k_count, "k_count")
     if grid_m is None:
         grid_m = default_grid(n).m
     theta2 = np.asarray(theta2, dtype=np.float64)
@@ -178,21 +175,22 @@ class AdaptiveConfig:
     kernel: KernelSpec = field(default=EPANECHNIKOV)
 
     def __post_init__(self):
-        if not 1 <= self.k_min <= self.pilot_k <= self.k_max:
+        for name in ("k_min", "pilot_k", "k_max"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        if not self.k_min <= self.pilot_k <= self.k_max:
             raise ValueError(
                 f"need 1 <= k_min <= pilot_k <= k_max, got "
                 f"({self.k_min}, {self.pilot_k}, {self.k_max})"
             )
         if self.mode not in ("variable_k", "variable_w"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.curvature_halfwidth <= 0.5:
-            raise ValueError("curvature_halfwidth must be in (0, 1/2]")
+        object.__setattr__(self, "curvature_halfwidth",
+                           _halfwidth(self.curvature_halfwidth, "curvature_halfwidth"))
 
     @classmethod
     def default_for(cls, n, mode="variable_k"):
         """Length-based defaults: pilot ~ n^(8/15), k_max ~ n/4."""
-        if n < 8:
-            raise ValueError(f"adaptive estimation needs n >= 8, got {n}")
+        n = _count(n, "n", lo=8)
         k_max = max(4, math.ceil(n / 4))
         pilot = min(math.ceil(n ** (8.0 / 15.0)), k_max)
         return cls(pilot_k=pilot, k_min=min(4, pilot), k_max=k_max, mode=mode)
@@ -290,7 +288,9 @@ def two_stage_log_estimate(series, config=None, grid=None):
     per-bin taper count chosen by the optimal-count rule and smoothed by
     a moving median (mode ``"variable_k"``), or smooths the pilot log
     estimate with the per-bin error-minimizing halfwidth realized to
-    whole grid bins (mode ``"variable_w"``).
+    whole grid bins (mode ``"variable_w"``). Either profile, and the
+    smoothed values, are decided on bins 0..m/2 and mirrored to the rest,
+    so the estimate is exactly even in f.
     """
     x = as_series(series)
     n = x.shape[0]
@@ -301,14 +301,16 @@ def two_stage_log_estimate(series, config=None, grid=None):
     if grid is None:
         grid = default_grid(n)
     theta, theta_s, th1, th2 = _pilot_derivatives(x, config, grid)
+    half = grid.m // 2 + 1
 
     if config.mode == "variable_w":
-        halfwidths = w_opt(th2, n, config.pilot_k, config.kernel, grid_m=grid.m)
+        halfwidths = w_opt(th2[:half], n, config.pilot_k, config.kernel, grid_m=grid.m)
         bins = np.clip(np.rint(halfwidths * grid.m), 1, grid.m // 4).astype(np.int64)
+        bins = _kernels._mirror(bins, grid.m)
         smoothed = _kernels.smooth_variable(theta, bins, config.kernel.kernel_id)
         return SpectralEstimate(
             grid,
-            smoothed,
+            _kernels._mirror(smoothed[:half], grid.m),
             config.pilot_k,
             make_weights("uniform", config.pilot_k),
             scale="log",
@@ -320,4 +322,4 @@ def two_stage_log_estimate(series, config=None, grid=None):
     curv = (th2 + th1 * th1) * level
     k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(k_raw, config, grid, n)
-    return log_multitaper(x, k_prof, grid)
+    return log_multitaper(x, _kernels._mirror(k_prof[:half], grid.m), grid)

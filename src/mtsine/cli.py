@@ -98,7 +98,8 @@ def _half_grid(grid):
     """Indices of the bins in [0, 1/2] and their frequencies."""
     idx = grid.nonnegative_indices()
     f = np.abs(grid.frequencies[idx])
-    f[-1] = 0.5  # the wrapped -1/2 bin reports as the Nyquist edge
+    if grid.m % 2 == 0:
+        f[-1] = 0.5  # the wrapped -1/2 bin reports as the Nyquist edge
     return idx, f
 
 
@@ -214,10 +215,11 @@ def cmd_synth(args):
         spec = ProcessSpec.white(args.sigma2, args.seed)
     else:
         spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
-    grid = _grid_for(args, args.n) if args.truth_out else None
-    _write_csv(args.out, None, [generate(spec, args.n)])
-    if grid is not None:
-        _write_half_grid(args.truth_out, grid, ["value"], [true_spectrum(spec, grid).values])
+    x = generate(spec, args.n)
+    truth = true_spectrum(spec, _grid_for(args, args.n)) if args.truth_out else None
+    _write_csv(args.out, None, [x])  # both made first: a failure leaves no file
+    if truth is not None:
+        _write_half_grid(args.truth_out, truth.grid, ["value"], [truth.values])
     return 0
 
 

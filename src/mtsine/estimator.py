@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, _own_array, default_grid
+from .grid import FrequencyGrid, _count, _own_array, default_grid
 from .tapers import TaperFamily
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -107,8 +107,7 @@ def make_weights(kind, k_count):
     by construction); a single-taper parabolic request degenerates to
     uniform.
     """
-    if k_count < 1:
-        raise ValueError(f"need at least one taper, got K={k_count}")
+    k_count = _count(k_count, "k_count")
     if kind == "uniform":
         return WeightScheme(np.full(k_count, 1.0 / k_count), "uniform")
     if kind == "parabolic":
@@ -233,8 +232,7 @@ def asymptotic_sinusoidal_loss(s, s2, n, k_count):
     (s2 * K^2 / (24 n^2))^2 + s^2 / K; the quantity whose minimizer over
     K is :func:`k_opt`.
     """
-    if k_count < 1:
-        raise ValueError(f"need at least one taper, got K={k_count}")
+    n, k_count = _count(n, "n"), _count(k_count, "k_count")
     bias = s2 * k_count * k_count / (24.0 * n * n)
     return bias * bias + s * s / k_count
 
@@ -247,12 +245,9 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
     relative to the level clamps to k_max. Accepts scalar or array
     ``s`` and ``s2``: an int for scalars, an int64 array otherwise.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if k_max is None:
-        k_max = n
-    if not 1 <= k_min <= k_max <= n:
-        raise ValueError(f"need 1 <= k_min <= k_max <= n, got [{k_min}, {k_max}]")
+    n = _count(n, "n", lo=2)
+    k_max = n if k_max is None else _count(k_max, "k_max", hi=n)
+    k_min = _count(k_min, "k_min", hi=k_max)
     s = np.asarray(s, dtype=np.float64)
     s2 = np.abs(np.asarray(s2, dtype=np.float64))
     if not np.all(s > 0):

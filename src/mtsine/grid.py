@@ -7,6 +7,7 @@ f_j = j/m, j = 0..m-1, wrapped to [-1/2, 1/2) in FFT order.
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -26,6 +27,26 @@ def _own_array(value, name, ndim, dtype=np.float64, finite=True):
     return a
 
 
+def _count(value, name, lo=1, hi=math.inf):
+    """How a function takes a count: ``value`` as an ``int`` in [lo, hi]. Any
+    integer type is accepted and no float is, not even 4.0; each refusal is a
+    ``ValueError`` that names ``name``."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= k <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {k}")
+    return k
+
+
+def _halfwidth(w, name="halfwidth w"):
+    """How a function takes a halfwidth: ``w`` as a ``float`` in (0, 1/2]."""
+    if not (isinstance(w, numbers.Real) and 0.0 < w <= 0.5):
+        raise ValueError(f"{name} must be in (0, 1/2], got {w!r}")
+    return float(w)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform circular frequency grid with ``m`` points, ``m`` an integer."""
@@ -33,13 +54,7 @@ class FrequencyGrid:
     m: int
 
     def __post_init__(self):
-        try:
-            m = operator.index(self.m)
-        except TypeError:
-            raise ValueError(f"grid size m must be an integer, got m={self.m!r}") from None
-        if m < 2:
-            raise ValueError(f"grid needs at least 2 points, got m={m}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _count(self.m, "grid size m", lo=2))
 
     @cached_property
     def frequencies(self):
@@ -55,7 +70,7 @@ class FrequencyGrid:
         f +- j/(2*(n+1)); those offsets land on grid bins only when m is
         a multiple of 2*(n+1).
         """
-        block = 2 * (n + 1)
+        block = 2 * (_count(n, "n") + 1)
         if self.m % block != 0:
             raise ValueError(
                 f"grid size m={self.m} must be a multiple of 2*(n+1)={block} "
@@ -74,14 +89,11 @@ def default_grid(n):
     Works out to roughly 4n points, so the fast path needs no
     interpolation and the grid resolves the estimate.
     """
-    if n < 1:
-        raise ValueError(f"series length must be positive, got {n}")
+    n = _count(n, "n")
     block = 2 * (n + 1)
     return FrequencyGrid(block * max(1, math.ceil(2 * n / (n + 1))))
 
 
 def window_grid(n, oversample=16):
     """Dense grid for spectral-window evaluation (default 16n points)."""
-    if n < 1:
-        raise ValueError(f"taper length must be positive, got {n}")
-    return FrequencyGrid(oversample * n)
+    return FrequencyGrid(_count(oversample, "oversample") * _count(n, "n"))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _own_array
+from .grid import _count, _own_array
 from .tapers import (
     _taper_values,
     concentration_matrix,
@@ -65,8 +65,7 @@ def convergence_distances(n):
     sup-normalizing each taper. Minimum-bias signs are aligned to
     minimize the 2-norm distance before measuring.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _count(n, "n", lo=2)
     sine = sinusoidal_family(n, n).taper_matrix
     mb = minimum_bias_family(n, n).taper_matrix
     flip = np.sum((sine - mb) ** 2, axis=1) > np.sum((sine + mb) ** 2, axis=1)
@@ -92,8 +91,8 @@ def bias_table(n, k_max, slepian_ws=(0.04, 0.08, 0.16)):
     Row K holds 4*(n+1)^2 times the summed local biases of the first K
     tapers, for the minimum-bias, sinusoidal, and Slepian families.
     """
-    if not 1 <= k_max <= n:
-        raise ValueError(f"need 1 <= k_max <= n, got k_max={k_max}, n={n}")
+    n = _count(n, "n")
+    k_max = _count(k_max, "k_max", hi=n)
     norm = bias_normalization(n)
     cols = {
         "minimum_bias": np.cumsum(minimum_bias_family(n, k_max).local_biases),
@@ -108,8 +107,8 @@ def bias_table(n, k_max, slepian_ws=(0.04, 0.08, 0.16)):
 
 def concentration_table(n, w, k_max):
     """Per-taper concentration in [-w, w] for the three families."""
-    if not 1 <= k_max <= n:
-        raise ValueError(f"need 1 <= k_max <= n, got k_max={k_max}, n={n}")
+    n = _count(n, "n")
+    k_max = _count(k_max, "k_max", hi=n)
     b = concentration_matrix(n, w)
     rows = {
         label: b.quadratic_forms(fam.taper_matrix)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import BOX, EPANECHNIKOV
-from .grid import _own_array
+from .grid import _count, _halfwidth, _own_array
 from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
     Taper,
@@ -51,8 +51,7 @@ class QuadraticEstimator:
 
 def periodogram_quadratic(n):
     """Rank-one estimator of the plain periodogram: all entries 1/n."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    n = _count(n, "n")
     return QuadraticEstimator(np.full((n, n), 1.0 / n))
 
 
@@ -86,8 +85,7 @@ def kernel_transfer(kernel, w, lag):
     and 3*(sin a - a cos a)/a^3 with a = 2*pi*lag*w for the parabolic
     kernel (series expansion near a = 0).
     """
-    if not 0.0 < w <= 0.5:
-        raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
+    w = _halfwidth(w)
     lag = np.asarray(lag, dtype=np.float64)
     scalar = lag.ndim == 0
     m = np.atleast_1d(lag)
@@ -138,8 +136,7 @@ def split_cosine_taper(n, taper_fraction):
     the fraction-to-zero limit is the uniform taper. Samples sit at the
     half-offset positions (i + 1/2)/n, so no sample is pinned to zero.
     """
-    if n < 1:
-        raise ValueError(f"taper length must be positive, got {n}")
+    n = _count(n, "n")
     if not 0.0 < taper_fraction <= 1.0:
         raise ValueError(f"taper fraction must be in (0, 1], got {taper_fraction}")
     x = (np.arange(n) + 0.5) / n
@@ -177,8 +174,7 @@ def tabulate_table4(weights, family, k_rows=7):
     the minimum-bias taper's value at the same index.
     """
     n = family.n
-    if family.k_count < k_rows:
-        k_rows = family.k_count
+    k_rows = min(_count(k_rows, "k_rows"), family.k_count)
     norm = bias_normalization(n)
     bias = norm * family.local_biases[:k_rows]
     mb = norm * minimum_bias_family(n, k_rows).local_biases

@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .adaptive import CurvatureProfile
 from .estimator import SpectralEstimate
+from .grid import _count
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class ProcessSpec:
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(
                 f"innovation variance must be finite and positive, got {self.sigma2}")
-        if self.burn_in < 0:
-            raise ValueError("burn-in cannot be negative")
+        for name in ("seed", "burn_in"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, lo=0))
         coeffs = tuple(float(a) for a in self.coeffs)
         if not all(math.isfinite(a) for a in coeffs):
             raise ValueError(f"AR coefficients must be finite, got {coeffs}")
@@ -93,9 +94,7 @@ def _gaussian_stream(seed, count):
 
 def generate(spec, n):
     """Draw ``n`` samples of the process, deterministic in the seed."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
-    total = n + spec.burn_in
+    total = _count(n, "n") + spec.burn_in
     innov = math.sqrt(spec.sigma2) * _gaussian_stream(spec.seed, total)
     if spec.kind == "white":
         return innov[spec.burn_in:]
@@ -104,8 +103,9 @@ def generate(spec, n):
 
 
 def true_spectrum(spec, grid):
-    """Exact spectral density of the process on a grid."""
-    values = spectrum_at(spec, grid.frequencies)
+    """Exact spectral density on a grid; ``FloatingPointError`` if it overflows."""
+    with np.errstate(over="ignore"):  # inf, which SpectralEstimate reports
+        values = spectrum_at(spec, grid.frequencies)
     return SpectralEstimate(grid, values, 0, None)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, _own_array, window_grid
+from .grid import FrequencyGrid, _count, _halfwidth, _own_array, window_grid
 
 SIGN_EPS = 1e-8  # leading-component threshold for the eigenvector sign rule
 _UNIT_NORM_TOL = 1e-12
@@ -154,8 +154,7 @@ def _sine_rows(n, ks):
 
 def sinusoidal_taper(n, k):
     """The k-th sinusoidal taper on n samples (closed form, 1 <= k <= n)."""
-    if n < 1:
-        raise ValueError(f"taper length must be positive, got {n}")
+    n, k = _count(n, "n"), _count(k, "k", lo=-np.inf)
     if not 1 <= k <= n:
         raise IndexError(f"taper index k={k} outside 1..{n}")
     return Taper(_sine_rows(n, [k])[0])
@@ -167,8 +166,7 @@ def local_bias_matrix(n):
     Entry (i, j) is the integral of f^2 * e^(i*2*pi*(i-j)*f) over the
     Nyquist band: 1/12 on the diagonal, (-1)^d / (2*pi^2*d^2) at lag d.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    n = _count(n, "n")
     d = np.arange(n, dtype=np.float64)
     row = np.empty(n)
     row[0] = 1.0 / 12.0
@@ -179,10 +177,7 @@ def local_bias_matrix(n):
 
 def concentration_matrix(n, w):
     """Matrix of the quadratic form giving in-band energy over [-w, w]."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    if not 0.0 < w <= 0.5:
-        raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
+    n, w = _count(n, "n"), _halfwidth(w)
     d = np.arange(n, dtype=np.float64)
     row = np.empty(n)
     row[0] = 2.0 * w
@@ -193,15 +188,15 @@ def concentration_matrix(n, w):
 
 def sinusoidal_family(n, k_count):
     """First ``k_count`` sinusoidal tapers (closed form, no eigensolve)."""
-    if not 1 <= k_count <= n:
-        raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
+    n = _count(n, "n")
+    k_count = _count(k_count, "k_count", hi=n)
     return TaperFamily(_sine_rows(n, np.arange(1, k_count + 1)))
 
 
 def minimum_bias_family(n, k_count):
     """Tapers minimizing local bias: lowest eigenvectors of the bias matrix."""
-    if not 1 <= k_count <= n:
-        raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
+    n = _count(n, "n")
+    k_count = _count(k_count, "k_count", hi=n)
     _, vec = _eigh(local_bias_matrix(n).to_dense(), f"{n}x{n} local-bias matrix")
     return TaperFamily(_fix_signs(vec[:, :k_count]))
 
@@ -218,10 +213,8 @@ def slepian_family(n, w, k_count):
     The boundary w = 1/2 is accepted as the degenerate full-band case,
     where every orthonormal family is equally concentrated.
     """
-    if not 0.0 < w <= 0.5:
-        raise ValueError(f"halfwidth must be in (0, 1/2], got {w}")
-    if not 1 <= k_count <= n:
-        raise ValueError(f"need 1 <= K <= n, got K={k_count}, n={n}")
+    n, w = _count(n, "n"), _halfwidth(w)
+    k_count = _count(k_count, "k_count", hi=n)
     i = np.arange(n, dtype=np.float64)
     diag = ((n - 1 - 2.0 * i) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = i[1:] * (n - i[1:]) / 2.0
@@ -267,8 +260,7 @@ def sinusoidal_window_closed(n, k, f):
     handle the removable singularities at f = +-k/(2*(n+1)), where the
     magnitude equals sqrt((n+1)/2). Accepts scalar or array f.
     """
-    if n < 1:
-        raise ValueError(f"taper length must be positive, got {n}")
+    n, k = _count(n, "n"), _count(k, "k", lo=-np.inf)
     if not 1 <= k <= n:
         raise IndexError(f"taper index k={k} outside 1..{n}")
     f = np.asarray(f, dtype=np.float64)
@@ -291,8 +283,7 @@ def continuous_mb_window(k, f):
     at f = +-k/2 need no special casing. The frequency-squared energy
     integral of this window over the whole real line is k^2/4.
     """
-    if k < 1:
-        raise ValueError(f"taper index must be positive, got {k}")
+    k = _count(k, "k")
     f = np.asarray(f, dtype=np.float64)
     scalar = f.ndim == 0
     f = np.atleast_1d(f)

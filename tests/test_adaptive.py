@@ -454,6 +454,27 @@ class TestTwoStage:
         for n in range(8, 4096):
             assert 2 * AdaptiveConfig.default_for(n).pilot_k <= n
 
+    @staticmethod
+    def assert_exactly_even(a):
+        a = np.asarray(a)
+        assert np.array_equal(a[1:], a[:0:-1]), int(np.sum(a[1:] != a[:0:-1]))
+
+    def test_variable_w_is_exactly_even(self):
+        # window_average's round-off is not mirror-symmetric: on the full grid
+        # most bins would differ from their mirror
+        x = generate(ProcessSpec.white(1.0, seed=0), 4096)
+        est = two_stage_log_estimate(x, AdaptiveConfig.default_for(4096, "variable_w"))
+        self.assert_exactly_even(est.values)
+        self.assert_exactly_even(est.w_used)
+
+    def test_variable_k_is_exactly_even(self):
+        # on this series pilot round-off rounds k_opt to different whole K at
+        # one pair of mirror bins
+        x = generate(ProcessSpec.ar((1.3, -0.8), 1.0, 14), 2**14)
+        est = two_stage_log_estimate(x)
+        self.assert_exactly_even(est.values)
+        self.assert_exactly_even(est.k_used)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(pilot_k=4, k_min=8, k_max=64)

@@ -22,6 +22,7 @@ from mtsine import (
     sinusoidal_estimate_fast,
     sinusoidal_family,
     sinusoidal_taper,
+    sinusoidal_window_closed,
     spectral_window,
     table4_experiment,
     true_spectrum,
@@ -185,6 +186,17 @@ class TestSynthCommand:
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
         assert not out.exists() and not truth.exists()
 
+    def test_odd_grid_ends_below_nyquist(self, tmp_path):
+        # on m = 9 points the last half-grid bin is f = 4/9, not 1/2
+        truth = tmp_path / "t.csv"
+        assert run(["synth", "--model", "ar", "--coeffs", "0.5", "--n", "8",
+                    "--grid-size", "9", "--out", tmp_path / "x.csv",
+                    "--truth-out", truth]) == 0
+        _, rows = read_csv(truth)
+        f, value = map(float, rows[-1])
+        assert len(rows) == 5 and f == pytest.approx(4 / 9, rel=1e-15)
+        assert value == pytest.approx(1 / abs(1 - 0.5 * np.exp(-8j * np.pi / 9)) ** 2, rel=1e-12)
+
 
 def assert_float_cells(cells, expected):
     """Each cell is the shortest decimal of exactly the expected float64."""
@@ -290,6 +302,16 @@ class TestTapersCommand:
         mat = np.array([[float(c) for c in row[1:]] for row in rows])
         assert mat.shape == (200, 4)
         assert np.max(np.abs(mat.T @ mat - np.eye(4))) < 1e-10
+
+    def test_odd_window_grid_ends_below_nyquist(self, tmp_path):
+        # --window-oversample 3 on n = 3 gives m = 9: the last bin is f = 4/9
+        out = tmp_path / "tp.csv"
+        assert run(["tapers", "--family", "sine", "--n", "3", "--k", "1",
+                    "--window-oversample", "3", "--out", out]) == 0
+        _, rows = read_csv(tmp_path / "tp_window.csv")
+        f, power = map(float, rows[-1])
+        assert len(rows) == 5 and f == pytest.approx(4 / 9, rel=1e-15)
+        assert power == pytest.approx(abs(sinusoidal_window_closed(3, 1, 4 / 9)) ** 2, rel=1e-12)
 
     def test_slepian_needs_w(self, tmp_path):
         assert run(["tapers", "--family", "slepian", "--n", "50", "--k", "4"]) == 2
@@ -551,3 +573,12 @@ class TestFailureContract:
                 argv += ["--grid-size", grid_size]
             if run_under_contract(tmp, argv, []) == 0:
                 assert sorted(os.listdir(tmp)) == ["truth.csv", "x.csv"]
+
+    def test_synth_truth_overflow_writes_nothing(self):
+        # S(0) = 1e308 / 0.1^2 overflows: exit 3 before either file is opened,
+        # with the one FloatingPointError line and no numpy warning
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["synth", "--model", "ar", "--coeffs", "0.9", "--sigma2", "1e308",
+                    "--n", "16", "--out", os.path.join(tmp, "x.csv"),
+                    "--truth-out", os.path.join(tmp, "t.csv")]
+            assert run_under_contract(tmp, argv, []) == 3

@@ -3,7 +3,9 @@
 The shift combines have one primitive, :func:`_shift_sums`, behind
 :func:`combine_shifts` (one taper count, any weights) and
 :func:`variable_k_combine` (one taper count per bin): a single loop over
-the shifts, each taking only the bins whose count reaches it.
+the shifts, each taking only the bins whose count reaches it. Only bins
+0..m/2, and bins whose count differs from their mirror's, are summed;
+the rest are copies of their mirrors.
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
@@ -44,46 +46,70 @@ def _f64(a):
 def _shift_sums(y, step, k, g):
     """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``.
 
-    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid, read
-    from one copy of y padded by k_max * step on each side. A scalar K
-    takes every bin at every shift, as slices. A per-bin K sorts the bins
+    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid. y is
+    Hermitian (y[m-i] = conj y[i], as :func:`_mirror` makes it), so
+    |d_j(m-i)| = |d_j(i)| bitwise and a bin whose K equals its mirror's
+    is copied from the mirror rather than summed. A scalar K sums bins
+    0..m//2 at every shift, as slices of contiguous real and imaginary
+    planes of y over bins -k_max*step .. m//2 + k_max*step. A per-bin K
+    also sums each bin whose K differs from K[m-i]; it sorts those bins
     by decreasing K once and keeps the accumulators in that order, so
     shift j gathers only the prefix of bins with K >= j: the work is
-    sum_i K_i rather than m * k_max. Overflow gives inf (or nan) without
-    a warning; the caller's estimate reports it.
+    about half of sum_i K_i for an even profile. Overflow gives inf (or
+    nan) without a warning; the caller's estimate reports it.
     """
     m = y.shape[0]
-    per_bin = np.ndim(k) > 0
+    half = m // 2 + 1
     k_max = int(np.max(k))
     pad = k_max * step
-    ypad = np.pad(y, pad, mode="wrap")
-    if per_bin:
-        order = np.argsort(-k, kind="stable")
-        # active[j] = number of bins with K >= j
-        active = np.cumsum(np.bincount(k, minlength=k_max + 1)[::-1])[::-1]
-    sums = np.zeros((g.shape[0], m))
+    sums = np.empty((g.shape[0], m))
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.ndim(k) == 0:
+            span = np.arange(-pad, half + pad)
+            re, im = y.real.take(span, mode="wrap"), y.imag.take(span, mode="wrap")
+            acc = sums[:, :half]
+            acc.fill(0.0)
+            p, t = np.empty(half), np.empty(half)
+            for j in range(1, k_max + 1):
+                lo, hi = pad - j * step, pad + j * step
+                np.subtract(re[hi : hi + half], re[lo : lo + half], out=p)
+                np.subtract(im[hi : hi + half], im[lo : lo + half], out=t)
+                np.multiply(p, p, out=p)
+                np.multiply(t, t, out=t)
+                np.add(p, t, out=p)
+                for q in range(g.shape[0]):
+                    np.multiply(g[q, j - 1], p, out=t)
+                    np.add(acc[q], t, out=acc[q])
+            sums[:, half:] = sums[:, m - half : 0 : -1]
+            return sums
+        i = np.arange(m)
+        mirror = -i % m
+        summed = (i < half) | (k != k[mirror])
+        bins = np.flatnonzero(summed)
+        order = bins[np.argsort(-k[bins], kind="stable")]
+        # active[j] = number of summed bins with K >= j
+        active = np.cumsum(np.bincount(k[bins], minlength=k_max + 1)[::-1])[::-1]
+        ypad = np.pad(y, pad, mode="wrap")
+        acc = np.zeros((g.shape[0], order.size))
         for j in range(1, k_max + 1):
-            s = j * step
-            if per_bin:
-                a = active[j]
-                d = ypad.take(order[:a] + (pad + s)) - ypad.take(order[:a] + (pad - s))
-            else:
-                a = m
-                d = ypad[pad + s : pad + s + m] - ypad[pad - s : pad - s + m]
+            s, a = j * step, active[j]
+            d = ypad.take(order[:a] + (pad + s)) - ypad.take(order[:a] + (pad - s))
             p = d.real * d.real
             p += d.imag * d.imag
-            sums[:, :a] += g[:, j - 1 : j] * p
-    if per_bin:
-        sums[:, order] = sums.copy()
+            acc[:, :a] += g[:, j - 1 : j] * p
+    sums[:, order] = acc
+    copied = np.flatnonzero(~summed)
+    sums[:, copied] = sums[:, mirror[copied]]
     return sums
 
 
 def combine_shifts(y, weights, step):
     """Weighted sum over shift pairs: sum_j w_j |y[i+j*step] - y[i-j*step]|^2.
 
-    y is the complex transform on the full circular grid; j runs from 1
-    to len(weights).
+    y is the complex transform of a real series on the full circular
+    grid, Hermitian as :func:`mtsine.dft` returns it; j runs from 1 to
+    len(weights). Only bins 0..m/2 are summed: the sums are even, and
+    the other bins are copies of their mirrors.
     """
     weights = _f64(weights)
     return _shift_sums(_c128(y), int(step), weights.shape[0], weights[None, :])[0]

@@ -257,14 +257,17 @@ def curvature_pilot(series, config, grid=None):
 _MEDIAN_BLOCK = 1 << 20
 
 
-def _circular_median(values, width):
-    """Median over the circular window of odd ``width`` centred at each bin.
+def _circular_median(values, width, count=None):
+    """Median over the circular window of odd ``width`` centred at each of
+    bins 0..count-1 (every bin by default).
 
     ``np.median`` copies the windows it reads, so they are taken a block
-    of about ``_MEDIAN_BLOCK`` elements at a time rather than all m * width.
+    of about ``_MEDIAN_BLOCK`` elements at a time rather than all
+    count * width.
     """
     half = width // 2
-    ext = np.concatenate([values[-half:], values, values[:half]])
+    count = values.shape[0] if count is None else count
+    ext = values.take(np.arange(-half, count + half), mode="wrap")
     windows = np.lib.stride_tricks.sliding_window_view(ext, width)
     rows = max(1, _MEDIAN_BLOCK // width)
     return np.concatenate(
@@ -273,10 +276,15 @@ def _circular_median(values, width):
 
 
 def _smooth_k_profile(k_raw, config, grid, n):
-    """Moving median over twice the pilot halfwidth, then re-clamp."""
+    """Moving median over twice the pilot halfwidth, then re-clamp, at
+    bins 0..m/2.
+
+    The windows are read from the circular extension of ``k_raw``, not a
+    mirrored one: ``k_raw`` need not be bitwise even.
+    """
     width = int(round(config.pilot_k * grid.m / n))
     width = max(3, width + (width + 1) % 2)
-    prof = _circular_median(k_raw, width).astype(np.int64)
+    prof = _circular_median(k_raw, width, grid.m // 2 + 1).astype(np.int64)
     return np.clip(prof, config.k_min, config.k_max)
 
 
@@ -322,4 +330,4 @@ def two_stage_log_estimate(series, config=None, grid=None):
     curv = (th2 + th1 * th1) * level
     k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(k_raw, config, grid, n)
-    return log_multitaper(x, _kernels._mirror(k_prof[:half], grid.m), grid)
+    return log_multitaper(x, _kernels._mirror(k_prof, grid.m), grid)

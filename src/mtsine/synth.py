@@ -104,8 +104,11 @@ def generate(spec, n):
 
 def true_spectrum(spec, grid):
     """Exact spectral density on a grid; ``FloatingPointError`` if it overflows."""
-    with np.errstate(over="ignore"):  # inf, which SpectralEstimate reports
+    with np.errstate(over="ignore"):  # inf, reported below
         values = spectrum_at(spec, grid.frequencies)
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(
+            f"exact spectrum overflowed float64 (sigma2={spec.sigma2:g})")
     return SpectralEstimate(grid, values, 0, None)
 
 

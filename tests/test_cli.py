@@ -582,3 +582,9 @@ class TestFailureContract:
                     "--n", "16", "--out", os.path.join(tmp, "x.csv"),
                     "--truth-out", os.path.join(tmp, "t.csv")]
             assert run_under_contract(tmp, argv, []) == 3
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                run(argv)
+        # the exact spectrum failed, not an estimate
+        assert "exact spectrum" in err.getvalue()
+        assert "estimate" not in err.getvalue()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,15 @@ class TestFastPathProperties:
         assert_even(sinusoidal_estimate_fast(x, 32, kind).values)
 
     @settings(max_examples=40, deadline=None)
+    @given(series, st.data(), st.sampled_from(["uniform", "parabolic"]))
+    def test_even_per_bin_k_gives_an_even_estimate(self, x, data, kind):
+        n = x.shape[0]
+        m = default_grid(n).m
+        k = data.draw(hnp.arrays(np.int64, m, elements=st.integers(1, n)))
+        k = np.minimum(k, np.roll(k[::-1], 1))  # K(f) = K(-f)
+        assert_even(sinusoidal_estimate_fast(x, k, kind).values)
+
+    @settings(max_examples=40, deadline=None)
     @given(series_and_k())
     def test_invariant_under_time_reversal(self, data):
         # each sine taper is symmetric or antisymmetric about the centre, so
@@ -371,3 +382,23 @@ class TestFastPathProperties:
             sinusoidal_estimate_fast(x[::-1], k).values,
             sinusoidal_estimate_fast(x, k).values,
         )
+
+
+class TestMemory:
+    """The working memory of one estimate is bounded by the grid, whatever K."""
+
+    @pytest.mark.parametrize("n", [2**13, 2**15])
+    def test_peak_is_at_most_eight_floats_per_bin(self, n):
+        x = np.random.default_rng(4).standard_normal(n)
+        m = default_grid(n).m
+        peaks = {}
+        for k in (16, 64):
+            sinusoidal_estimate_fast(x, k)  # the chirp plan is cached
+            tracemalloc.start()
+            try:
+                sinusoidal_estimate_fast(x, k)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[k] <= 8 * 8 * m, (k, peaks[k] / (8 * m))
+        assert abs(peaks[64] - peaks[16]) < 0.01 * peaks[16]

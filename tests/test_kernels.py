@@ -1,8 +1,10 @@
-"""Kernel checks: the smoother against a direct sum, and one home for the FFT.
+"""Kernel checks: the smoother and the shift combines against direct sums,
+and one home for the FFT.
 
-The shift combines, the AR recursion and the chirp-z transform are
-pinned through their callers (tests/test_adaptive.py,
-tests/test_estimator.py, tests/test_synth.py and tests/test_tapers.py).
+The AR recursion and the chirp-z transform are pinned through their
+callers (tests/test_estimator.py, tests/test_synth.py and
+tests/test_tapers.py), and so are the combines' estimates
+(tests/test_adaptive.py, tests/test_estimator.py).
 """
 
 import ast
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mtsine import _kernels
+from mtsine import FrequencyGrid, _kernels, dft, make_weights
 
 rng = np.random.default_rng(91)
 
@@ -120,6 +122,66 @@ def test_fixed_scale_matches_direct_sum(values, scale, kernel_id):
     got = _kernels.smooth_circular(values, scale, kernel_id)
     half = np.full(values.shape[0], int(np.floor(scale)))
     assert_close_to_direct(got, values, half, scale, kernel_id)
+
+
+def direct_shift_sums(y, step, k_profile, g):
+    """O(m*K) reference: every bin's shift-pair sums on the full circular
+    grid, in the combines' order of operations."""
+    m = y.shape[0]
+    sums = np.zeros((g.shape[0], m))
+    for i in range(m):
+        for j in range(1, k_profile[i] + 1):
+            d = y[(i + j * step) % m] - y[(i - j * step) % m]
+            p = d.real * d.real
+            p += d.imag * d.imag
+            sums[:, i] += g[:, j - 1] * p
+    return sums
+
+
+def direct_variable_k(y, k, step, n1, parabolic):
+    """:func:`direct_shift_sums` with ``variable_k_combine``'s weighting."""
+    j = np.arange(1.0, k.max() + 1.0)
+    g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
+    sums = direct_shift_sums(y, step, k, g)
+    out = sums[0] / (2.0 * n1 * k)
+    for i in np.flatnonzero(k > 1) if parabolic else []:
+        c = 1.0 / _kernels._parabolic_norm(k[i])
+        out[i] = c * (sums[0, i] - sums[1, i] / (k[i] * k[i])) / (2.0 * n1)
+    return out
+
+
+class TestShiftCombines:
+    """The combines sum bins 0..m/2 (and, for a per-bin K, the bins whose K
+    differs from their mirror's) and copy the rest: bit for bit the sums
+    over all m bins."""
+
+    def transform(self, n, mult):
+        grid = FrequencyGrid(2 * (n + 1) * mult)
+        return dft(rng.standard_normal(n), grid), grid.shift_step(n)
+
+    @pytest.mark.parametrize("n", [7, 16, 64])
+    @pytest.mark.parametrize("mult", [1, 2])  # 2: the default grid
+    def test_fixed_k_matches_full_grid(self, n, mult):
+        y, step = self.transform(n, mult)
+        for k in sorted({1, 2, n // 3, n}):  # K = n: the shifts wrap past m/2
+            kinds = [make_weights(kind, k).weights for kind in ("uniform", "parabolic")]
+            for w in kinds + [rng.random(k)]:
+                ref = direct_shift_sums(y, step, np.full(y.shape[0], k), w[None, :])[0]
+                assert np.array_equal(_kernels.combine_shifts(y, w, step), ref)
+
+    @pytest.mark.parametrize("n", [7, 16, 64])
+    @pytest.mark.parametrize("parabolic", [False, True])
+    def test_per_bin_k_matches_full_grid(self, n, parabolic):
+        y, step = self.transform(n, 2)
+        m = y.shape[0]
+        k = rng.integers(1, n + 1, size=m)
+        even = _kernels._mirror(k[: m // 2 + 1], m)
+        pair = even.copy()
+        pair[3] = pair[m - 3] % n + 1  # even but for bins 3 and m - 3
+        for prof in (even, k, pair):
+            got = _kernels.variable_k_combine(y, prof, step, n + 1.0, parabolic)
+            ref = direct_variable_k(y, prof, step, n + 1.0, parabolic)
+            assert np.array_equal(got, ref)
 
 
 def _fft_calls(path):

@@ -2,10 +2,10 @@
 
 The shift combines have one primitive, :func:`_shift_sums`, behind
 :func:`combine_shifts` (one taper count, any weights) and
-:func:`variable_k_combine` (one taper count per bin): a single loop over
-the shifts, each taking only the bins whose count reaches it. Only bins
-0..m/2, and bins whose count differs from their mirror's, are summed;
-the rest are copies of their mirrors.
+:func:`variable_k_combine` (one taper count per bin): a loop over blocks
+of bins with the shift loop inside. Only bins 0..m/2, and bins whose
+count differs from their mirror's, are summed; the rest are copies of
+their mirrors.
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
@@ -43,63 +43,60 @@ def _f64(a):
 # shift combines and the AR recursion
 # ---------------------------------------------------------------------------
 
+# most bins per block: narrower blocks pay numpy's per-call overhead more
+# often, wider ones run more bins to the block's largest K (README "Kernels")
+_SHIFT_BLOCK = 1 << 14
+
+
 def _shift_sums(y, step, k, g):
     """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``.
 
-    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid. y is
-    Hermitian (y[m-i] = conj y[i], as :func:`_mirror` makes it), so
-    |d_j(m-i)| = |d_j(i)| bitwise and a bin whose K equals its mirror's
-    is copied from the mirror rather than summed. A scalar K sums bins
-    0..m//2 at every shift, as slices of contiguous real and imaginary
-    planes of y over bins -k_max*step .. m//2 + k_max*step. A per-bin K
-    also sums each bin whose K differs from K[m-i]; it sorts those bins
-    by decreasing K once and keeps the accumulators in that order, so
-    shift j gathers only the prefix of bins with K >= j: the work is
-    about half of sum_i K_i for an even profile. Overflow gives inf (or
-    nan) without a warning; the caller's estimate reports it.
+    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid; k is
+    one count or one per bin. Each block of at most ``_SHIFT_BLOCK`` bins
+    runs shifts 1 to its largest K on slices of the real and imaginary
+    planes of y, and adds a shift past its smallest K only where K reaches
+    it. y is Hermitian (y[m-i] = conj y[i], as :func:`_mirror` makes it),
+    so |d_j(m-i)| = |d_j(i)| bitwise: bins 0..m//2 are summed, the rest
+    copied from their mirrors, and then the bins past m//2 from the first
+    to the last whose K differs from K[m-i] are summed over their copies
+    (one span: scattered bins in blocks of their own would each pay a
+    block's calls). Overflow gives inf (or nan) without a warning; the
+    caller's estimate reports it.
     """
     m = y.shape[0]
     half = m // 2 + 1
-    k_max = int(np.max(k))
-    pad = k_max * step
+    k = np.broadcast_to(k, (m,))
+    asym = np.flatnonzero(k[half:] != k[m - half : 0 : -1]) + half
+    spans = [(0, half)] + ([(int(asym[0]), int(asym[-1]) + 1)] if asym.size else [])
+    blocks = []
+    for s, e in spans:  # equal blocks: no short last one pays a block's calls
+        count = -(-(e - s) // _SHIFT_BLOCK)
+        cuts = [s + (e - s) * c // count for c in range(count + 1)]
+        blocks += zip(cuts[:-1], cuts[1:])
     sums = np.empty((g.shape[0], m))
+    p, t = np.empty((2, min(half, _SHIFT_BLOCK)))
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(k) == 0:
-            span = np.arange(-pad, half + pad)
-            re, im = y.real.take(span, mode="wrap"), y.imag.take(span, mode="wrap")
-            acc = sums[:, :half]
+        for b0, b1 in blocks:
+            kb = k[b0:b1]
+            k_lo, k_hi = int(kb.min()), int(kb.max())
+            pad, w = k_hi * step, b1 - b0
+            near = np.arange(b0 - pad, b1 + pad) % m
+            re, im = y.real[near], y.imag[near]
+            acc, pw, tw = sums[:, b0:b1], p[:w], t[:w]
             acc.fill(0.0)
-            p, t = np.empty(half), np.empty(half)
-            for j in range(1, k_max + 1):
+            for j in range(1, k_hi + 1):
                 lo, hi = pad - j * step, pad + j * step
-                np.subtract(re[hi : hi + half], re[lo : lo + half], out=p)
-                np.subtract(im[hi : hi + half], im[lo : lo + half], out=t)
-                np.multiply(p, p, out=p)
-                np.multiply(t, t, out=t)
-                np.add(p, t, out=p)
+                np.subtract(re[hi : hi + w], re[lo : lo + w], out=pw)
+                np.subtract(im[hi : hi + w], im[lo : lo + w], out=tw)
+                np.multiply(pw, pw, out=pw)
+                np.multiply(tw, tw, out=tw)
+                np.add(pw, tw, out=pw)
+                where = True if j <= k_lo else kb >= j
                 for q in range(g.shape[0]):
-                    np.multiply(g[q, j - 1], p, out=t)
-                    np.add(acc[q], t, out=acc[q])
-            sums[:, half:] = sums[:, m - half : 0 : -1]
-            return sums
-        i = np.arange(m)
-        mirror = -i % m
-        summed = (i < half) | (k != k[mirror])
-        bins = np.flatnonzero(summed)
-        order = bins[np.argsort(-k[bins], kind="stable")]
-        # active[j] = number of summed bins with K >= j
-        active = np.cumsum(np.bincount(k[bins], minlength=k_max + 1)[::-1])[::-1]
-        ypad = np.pad(y, pad, mode="wrap")
-        acc = np.zeros((g.shape[0], order.size))
-        for j in range(1, k_max + 1):
-            s, a = j * step, active[j]
-            d = ypad.take(order[:a] + (pad + s)) - ypad.take(order[:a] + (pad - s))
-            p = d.real * d.real
-            p += d.imag * d.imag
-            acc[:, :a] += g[:, j - 1 : j] * p
-    sums[:, order] = acc
-    copied = np.flatnonzero(~summed)
-    sums[:, copied] = sums[:, mirror[copied]]
+                    np.multiply(g[q, j - 1], pw, out=tw)
+                    np.add(acc[q], tw, out=acc[q], where=where)
+            if b1 == half:  # bins past m//2 are their mirrors', before the span past it
+                sums[:, half:] = sums[:, m - half : 0 : -1]
     return sums
 
 

@@ -19,7 +19,7 @@ from mtsine import (
     sinusoidal_estimate_fast,
     sinusoidal_family,
 )
-from mtsine._kernels import _chirp_plan, _smooth_length
+from mtsine._kernels import _chirp_plan, _mirror, _smooth_length
 from mtsine.estimator import asymptotic_sinusoidal_loss
 
 rng = np.random.default_rng(23)
@@ -402,3 +402,20 @@ class TestMemory:
                 tracemalloc.stop()
             assert peaks[k] <= 8 * 8 * m, (k, peaks[k] / (8 * m))
         assert abs(peaks[64] - peaks[16]) < 0.01 * peaks[16]
+
+    @pytest.mark.parametrize("n", [2**13, 2**15])
+    @pytest.mark.parametrize("weights", ["uniform", "parabolic"])
+    def test_per_bin_peak_is_at_most_fourteen_floats_per_bin(self, n, weights):
+        x = np.random.default_rng(4).standard_normal(n)
+        m = default_grid(n).m
+        # an even profile in runs of equal K, as the adaptive median makes
+        f = np.arange(m // 2 + 1) / m
+        k = _mirror(np.rint(8 + 56 * np.sin(6 * np.pi * f) ** 2).astype(np.int64), m)
+        sinusoidal_estimate_fast(x, k, weights)
+        tracemalloc.start()
+        try:
+            sinusoidal_estimate_fast(x, k, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 8 * m, peak / (8 * m)

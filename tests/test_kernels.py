@@ -184,6 +184,17 @@ class TestShiftCombines:
             assert np.array_equal(got, ref)
 
 
+class TestShiftCombinesInSmallBlocks(TestShiftCombines):
+    """The same oracle with blocks of at most 5 bins, so that the sums
+    cross block edges, the mirror copy waits for the last block of bins
+    0..m/2, and the bins past m/2 whose K differs from their mirror's are
+    cut across blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_SHIFT_BLOCK", 5)
+
+
 def _fft_calls(path):
     """Line numbers of the ``<...>.fft.fft(...)`` and ``<...>.fft.ifft(...)`` calls."""
     return [

@@ -1,11 +1,11 @@
 """Hot numeric kernels, all plain numpy.
 
-The shift combines have one primitive, :func:`_shift_sums`, behind
-:func:`combine_shifts` (one taper count, any weights) and
-:func:`variable_k_combine` (one taper count per bin): a loop over blocks
-of bins with the shift loop inside. Only bins 0..m/2, and bins whose
-count differs from their mirror's, are summed; the rest are copies of
-their mirrors.
+The estimate of a real series is even in f, so a kernel computes bins
+0..m/2 (or one output per halfwidth entry) and its caller mirrors the
+result once with :func:`_mirror`. The shift combines have one primitive,
+:func:`_shift_sums` (a loop over blocks of bins with the shift loop
+inside), behind :func:`combine_shifts` (one taper count, any weights)
+and :func:`variable_k_combine` (one taper count per bin).
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
@@ -49,34 +49,25 @@ _SHIFT_BLOCK = 1 << 14
 
 
 def _shift_sums(y, step, k, g):
-    """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``.
+    """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``, i <= m//2.
 
     ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid; k is
-    one count or one per bin. Each block of at most ``_SHIFT_BLOCK`` bins
-    runs shifts 1 to its largest K on slices of the real and imaginary
-    planes of y, and adds a shift past its smallest K only where K reaches
-    it. y is Hermitian (y[m-i] = conj y[i], as :func:`_mirror` makes it),
-    so |d_j(m-i)| = |d_j(i)| bitwise: bins 0..m//2 are summed, the rest
-    copied from their mirrors, and then the bins past m//2 from the first
-    to the last whose K differs from K[m-i] are summed over their copies
-    (one span: scattered bins in blocks of their own would each pay a
-    block's calls). Overflow gives inf (or nan) without a warning; the
-    caller's estimate reports it.
+    one count or one per bin 0..m//2. Bins 0..m//2 are cut into equal
+    blocks of at most ``_SHIFT_BLOCK`` bins (no short last one pays a
+    block's calls); each runs shifts 1 to its largest K on slices of the
+    real and imaginary planes of y, and adds a shift past its smallest K
+    only where K reaches it. Overflow gives inf (or nan) without a
+    warning; the caller's estimate reports it.
     """
     m = y.shape[0]
     half = m // 2 + 1
-    k = np.broadcast_to(k, (m,))
-    asym = np.flatnonzero(k[half:] != k[m - half : 0 : -1]) + half
-    spans = [(0, half)] + ([(int(asym[0]), int(asym[-1]) + 1)] if asym.size else [])
-    blocks = []
-    for s, e in spans:  # equal blocks: no short last one pays a block's calls
-        count = -(-(e - s) // _SHIFT_BLOCK)
-        cuts = [s + (e - s) * c // count for c in range(count + 1)]
-        blocks += zip(cuts[:-1], cuts[1:])
-    sums = np.empty((g.shape[0], m))
+    k = np.broadcast_to(k, (half,))
+    count = -(-half // _SHIFT_BLOCK)
+    cuts = [half * c // count for c in range(count + 1)]
+    sums = np.empty((g.shape[0], half))
     p, t = np.empty((2, min(half, _SHIFT_BLOCK)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0, b1 in blocks:
+        for b0, b1 in zip(cuts[:-1], cuts[1:]):
             kb = k[b0:b1]
             k_lo, k_hi = int(kb.min()), int(kb.max())
             pad, w = k_hi * step, b1 - b0
@@ -95,8 +86,6 @@ def _shift_sums(y, step, k, g):
                 for q in range(g.shape[0]):
                     np.multiply(g[q, j - 1], pw, out=tw)
                     np.add(acc[q], tw, out=acc[q], where=where)
-            if b1 == half:  # bins past m//2 are their mirrors', before the span past it
-                sums[:, half:] = sums[:, m - half : 0 : -1]
     return sums
 
 
@@ -105,11 +94,11 @@ def combine_shifts(y, weights, step):
 
     y is the complex transform of a real series on the full circular
     grid, Hermitian as :func:`mtsine.dft` returns it; j runs from 1 to
-    len(weights). Only bins 0..m/2 are summed: the sums are even, and
-    the other bins are copies of their mirrors.
+    len(weights). The sums are even, so bins 0..m/2 are summed and
+    mirrored once.
     """
-    weights = _f64(weights)
-    return _shift_sums(_c128(y), int(step), weights.shape[0], weights[None, :])[0]
+    weights, y = _f64(weights), _c128(y)
+    return _mirror(_shift_sums(y, int(step), weights.shape[0], weights[None, :])[0], y.shape[0])
 
 
 def _parabolic_norm(k):
@@ -122,19 +111,29 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
 
     ``k_profile[i]`` tapers are averaged at bin i with uniform or
     parabolic weights summing to one; the result carries the
-    1/(2*(N+1)) scaling with ``n1 = N + 1``.
+    1/(2*(N+1)) scaling with ``n1 = N + 1``. y is Hermitian, so
+    |d_j(m-i)| = |d_j(i)| bitwise: bins 0..m/2 are estimated at the
+    profile read at -f and mirrored, and only a profile that is not even
+    estimates bins 0..m/2 once more at its own counts.
     """
     k = np.ascontiguousarray(k_profile, dtype=np.int64)
+    m, half = k.shape[0], k.shape[0] // 2 + 1
     j = np.arange(1.0, k.max() + 1.0)
     g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
-    sums = _shift_sums(_c128(y), int(step), k, g)
-    out = sums[0] / (2.0 * n1 * k)
-    if parabolic:
-        sel = k > 1
-        ks = k[sel]
-        c = 1.0 / _parabolic_norm(ks)
-        with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
-            out[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
+    k_neg = k[-np.arange(half) % m]  # mirrored, it gives bins past m/2 their own K
+    ests = []
+    for kh in [k_neg] + ([] if np.array_equal(k_neg, k[:half]) else [k[:half]]):
+        sums = _shift_sums(_c128(y), int(step), kh, g)
+        est = sums[0] / (2.0 * n1 * kh)
+        if parabolic:
+            sel = kh > 1
+            ks = kh[sel]
+            c = 1.0 / _parabolic_norm(ks)
+            with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
+                est[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
+        ests.append(est)
+    out = _mirror(ests[0], m)
+    out[:half] = ests[-1]
     return out
 
 
@@ -162,7 +161,9 @@ def window_average(values, half_bins, scale, kernel_id):
 
     ``out[i] = sum_j w_ij v[(i + j) % m] / sum_j w_ij`` for
     ``|j| <= h_i = half_bins[i]``, with ``w_ij = 1`` (box) or
-    ``1 - (j / s_i)^2`` (parabolic), ``s_i`` from ``scale`` (scalar or per bin).
+    ``1 - (j / s_i)^2`` (parabolic), ``s_i`` from ``scale`` (scalar or per bin),
+    at bins i < len(half_bins) of the m circular ``values`` (0..m/2 of an even
+    estimate, which the caller mirrors).
 
     Window sums of v, c*v and c^2*v come from cumulative sums along short
     rows about each row's centre, never about a global origin, whose
@@ -171,12 +172,12 @@ def window_average(values, half_bins, scale, kernel_id):
     by less than about 3h. Only rows that some window reaches are summed:
     O(m) work for a smooth halfwidth profile, O(m log m) at worst.
     """
-    m = values.shape[0]
+    count = half_bins.shape[0]
     if half_bins.min() < 1:
         raise ValueError("smoothing halfwidth must cover at least one grid bin")
-    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (m,))
+    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (count,))
     octave = np.frexp(half_bins)[1] - 1
-    out = np.empty(m)
+    out = np.empty(count)
     for k in np.flatnonzero(np.bincount(octave)):
         size = 4 << int(k)
         bins = np.flatnonzero(octave == k)
@@ -226,7 +227,7 @@ def smooth_circular(values, scale, kernel_id):
 
 
 def smooth_variable(values, half_bins, kernel_id):
-    """Smooth with ``half_bins[i]`` whole bins on each side of bin i."""
+    """Smooth bins i < len(half_bins) with ``half_bins[i]`` whole bins on each side."""
     half_bins = np.ascontiguousarray(half_bins, dtype=np.int64)
     return window_average(_f64(values), half_bins, half_bins, int(kernel_id))
 

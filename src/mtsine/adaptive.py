@@ -314,15 +314,14 @@ def two_stage_log_estimate(series, config=None, grid=None):
     if config.mode == "variable_w":
         halfwidths = w_opt(th2[:half], n, config.pilot_k, config.kernel, grid_m=grid.m)
         bins = np.clip(np.rint(halfwidths * grid.m), 1, grid.m // 4).astype(np.int64)
-        bins = _kernels._mirror(bins, grid.m)
         smoothed = _kernels.smooth_variable(theta, bins, config.kernel.kernel_id)
         return SpectralEstimate(
             grid,
-            _kernels._mirror(smoothed[:half], grid.m),
+            _kernels._mirror(smoothed, grid.m),
             config.pilot_k,
             make_weights("uniform", config.pilot_k),
             scale="log",
-            w_used=bins / grid.m,
+            w_used=_kernels._mirror(bins, grid.m) / grid.m,
         )
 
     # variable_k: optimal count from the pilot level and curvature

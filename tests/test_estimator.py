@@ -403,9 +403,8 @@ class TestMemory:
             assert peaks[k] <= 8 * 8 * m, (k, peaks[k] / (8 * m))
         assert abs(peaks[64] - peaks[16]) < 0.01 * peaks[16]
 
-    @pytest.mark.parametrize("n", [2**13, 2**15])
-    @pytest.mark.parametrize("weights", ["uniform", "parabolic"])
-    def test_per_bin_peak_is_at_most_fourteen_floats_per_bin(self, n, weights):
+    @staticmethod
+    def per_bin_peak(n, weights):
         x = np.random.default_rng(4).standard_normal(n)
         m = default_grid(n).m
         # an even profile in runs of equal K, as the adaptive median makes
@@ -415,7 +414,18 @@ class TestMemory:
         tracemalloc.start()
         try:
             sinusoidal_estimate_fast(x, k, weights)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], m
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [2**13, 2**15])
+    @pytest.mark.parametrize("weights", ["uniform", "parabolic"])
+    def test_per_bin_peak_is_at_most_fourteen_floats_per_bin(self, n, weights):
+        peak, m = self.per_bin_peak(n, weights)
         assert peak <= 14 * 8 * m, peak / (8 * m)
+
+    @pytest.mark.parametrize("n", [2**13, 2**15])
+    def test_parabolic_per_bin_peak_is_at_most_ten_floats_per_bin(self, n):
+        # the parabolic normalization runs on bins 0..m/2 only
+        peak, m = self.per_bin_peak(n, "parabolic")
+        assert peak <= 10 * 8 * m, peak / (8 * m)

@@ -66,6 +66,22 @@ class TestSmoother:
         got = _kernels.smooth_variable(v, half, kernel_id)
         assert_close_to_direct(got, v, half, half, kernel_id)
 
+    @pytest.mark.parametrize("kernel_id", [0, 1])
+    @pytest.mark.parametrize("m", [4100, 4101])
+    def test_first_bins_only(self, m, kernel_id):
+        # bins 0..m/2, as the variable-w estimate smooths them, and three
+        # bins whose windows, wider than m/3, wrap past both ends
+        v = rng.standard_normal(m) - 5.0
+        half = rng.integers(1, m // 4 + 1, size=m)
+        half[:3] = [m // 2, m // 3 + 1, m // 3 + 2]
+        full = _kernels.smooth_variable(v, half, kernel_id)
+        ref = direct_average(v, half, half, kernel_id)
+        for count in (m // 2 + 1, 3):
+            got = _kernels.smooth_variable(v, half[:count], kernel_id)
+            assert got.shape == (count,)
+            assert np.array_equal(got, full[:count])
+            assert np.max(np.abs(got - ref[:count])) <= 1e-12 * np.max(np.abs(v))
+
     def test_spike_spreads_around_the_circle(self):
         v = np.zeros(50)
         v[0] = 1.0
@@ -151,9 +167,9 @@ def direct_variable_k(y, k, step, n1, parabolic):
 
 
 class TestShiftCombines:
-    """The combines sum bins 0..m/2 (and, for a per-bin K, the bins whose K
-    differs from their mirror's) and copy the rest: bit for bit the sums
-    over all m bins."""
+    """The combines sum bins 0..m/2 and mirror them (a per-bin K that is not
+    even sums bins 0..m/2 once more at its own counts): bit for bit the
+    sums over all m bins."""
 
     def transform(self, n, mult):
         grid = FrequencyGrid(2 * (n + 1) * mult)
@@ -178,17 +194,18 @@ class TestShiftCombines:
         even = _kernels._mirror(k[: m // 2 + 1], m)
         pair = even.copy()
         pair[3] = pair[m - 3] % n + 1  # even but for bins 3 and m - 3
-        for prof in (even, k, pair):
+        edge = even.copy()
+        edge[m // 2 + 1] = edge[m // 2 - 1] % n + 1  # even but for bins m/2 - 1 and m/2 + 1
+        for prof in (even, k, pair, edge):
             got = _kernels.variable_k_combine(y, prof, step, n + 1.0, parabolic)
             ref = direct_variable_k(y, prof, step, n + 1.0, parabolic)
             assert np.array_equal(got, ref)
 
 
 class TestShiftCombinesInSmallBlocks(TestShiftCombines):
-    """The same oracle with blocks of at most 5 bins, so that the sums
-    cross block edges, the mirror copy waits for the last block of bins
-    0..m/2, and the bins past m/2 whose K differs from their mirror's are
-    cut across blocks."""
+    """The same oracle with blocks of at most 5 bins, so that the sums of
+    bins 0..m/2, in both passes of a profile that is not even, cross
+    block edges."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):

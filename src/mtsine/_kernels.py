@@ -43,8 +43,10 @@ def _f64(a):
 # shift combines and the AR recursion
 # ---------------------------------------------------------------------------
 
-# most bins per block: narrower blocks pay numpy's per-call overhead more
-# often, wider ones run more bins to the block's largest K (README "Kernels")
+# most bins per block: each shift runs only over the hull of the block's bins
+# whose K reaches it, so a wide block wastes work only where K dips inside
+# that hull; blocks of 4,096 or 8,192 bins paid numpy's per-call overhead
+# more often and were slower on the adaptive profiles (README "Kernels")
 _SHIFT_BLOCK = 1 << 14
 
 
@@ -55,8 +57,13 @@ def _shift_sums(y, step, k, g):
     one count or one per bin 0..m//2. Bins 0..m//2 are cut into equal
     blocks of at most ``_SHIFT_BLOCK`` bins (no short last one pays a
     block's calls); each runs shifts 1 to its largest K on slices of the
-    real and imaginary planes of y, and adds a shift past its smallest K
-    only where K reaches it. Overflow gives inf (or nan) without a
+    real and imaginary planes of y. A shift j past the block's smallest K
+    runs only over the hull [first, last) of the bins whose K reaches j,
+    both ends found by ``searchsorted`` on the running maximum of K from
+    each end, and adds only where K reaches j inside it. Every bin gets
+    the same additions in the same order as over the whole block. The
+    work is about sum_i K_i for a K with one hump per block; a single K
+    takes neither hull nor mask. Overflow gives inf (or nan) without a
     warning; the caller's estimate reports it.
     """
     m = y.shape[0]
@@ -66,6 +73,9 @@ def _shift_sums(y, step, k, g):
     cuts = [half * c // count for c in range(count + 1)]
     sums = np.empty((g.shape[0], half))
     p, t = np.empty((2, min(half, _SHIFT_BLOCK)))
+    # a row of ones adds |d_j|^2 as it is: the multiply by one changes no bit
+    unit = np.all(g == 1.0, axis=1)
+    ones, scaled = np.flatnonzero(unit).tolist(), np.flatnonzero(~unit).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for b0, b1 in zip(cuts[:-1], cuts[1:]):
             kb = k[b0:b1]
@@ -73,17 +83,28 @@ def _shift_sums(y, step, k, g):
             pad, w = k_hi * step, b1 - b0
             near = np.arange(b0 - pad, b1 + pad) % m
             re, im = y.real[near], y.imag[near]
-            acc, pw, tw = sums[:, b0:b1], p[:w], t[:w]
+            acc, pw, tw, where = sums[:, b0:b1], p[:w], t[:w], True
             acc.fill(0.0)
+            if k_lo < k_hi:
+                # the hull [first, last) of the bins whose K reaches shift j > k_lo
+                js = np.arange(k_lo + 1, k_hi + 1)
+                first = np.searchsorted(np.maximum.accumulate(kb), js).tolist()
+                last = (w - np.searchsorted(np.maximum.accumulate(kb[::-1]), js)).tolist()
             for j in range(1, k_hi + 1):
                 lo, hi = pad - j * step, pad + j * step
+                if j > k_lo:
+                    c0, c1 = first[j - k_lo - 1], last[j - k_lo - 1]
+                    lo, hi, w = lo + c0, hi + c0, c1 - c0
+                    acc, pw, tw = sums[:, b0 + c0 : b0 + c1], p[:w], t[:w]
+                    where = kb[c0:c1] >= j
                 np.subtract(re[hi : hi + w], re[lo : lo + w], out=pw)
                 np.subtract(im[hi : hi + w], im[lo : lo + w], out=tw)
                 np.multiply(pw, pw, out=pw)
                 np.multiply(tw, tw, out=tw)
                 np.add(pw, tw, out=pw)
-                where = True if j <= k_lo else kb >= j
-                for q in range(g.shape[0]):
+                for q in ones:
+                    np.add(acc[q], pw, out=acc[q], where=where)
+                for q in scaled:
                     np.multiply(g[q, j - 1], pw, out=tw)
                     np.add(acc[q], tw, out=acc[q], where=where)
     return sums

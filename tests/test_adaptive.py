@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mtsine import (
     two_stage_log_estimate,
     w_opt,
 )
+from mtsine import adaptive
 
 EULER_GAMMA = 0.5772156649015329
 rng = np.random.default_rng(37)
@@ -398,6 +400,69 @@ class TestKProfileMedian:
         ext = np.concatenate([k[-half:], k, k[:half]])
         ref = np.median(np.lib.stride_tricks.sliding_window_view(ext, width), axis=1)
         assert np.array_equal(_circular_median(k, width), ref)
+
+
+def sliding_median(values, width, count):
+    """np.median over the circular windows of odd width centred at bins 0..count-1."""
+    half = width // 2
+    ext = values.take(np.arange(-half, count + half), mode="wrap")
+    return np.median(np.lib.stride_tricks.sliding_window_view(ext, width), axis=1)
+
+
+class TestCircularMedianProperties:
+    """The K-profile median equals np.median over every circular window,
+    whatever m, width, count, ties and element budget."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 400)),
+        ties=st.booleans(),
+        floats=st.booleans(),
+        half=st.integers(0, 60),  # widths 1 to 121, many wider than m
+        share=st.floats(0.0, 1.0),  # count from 1 to m
+        budget=st.sampled_from([None, 1, 50]),  # 1: one window per block
+    )
+    @example(values=np.arange(12), ties=True, floats=False, half=1, share=1.0, budget=None)
+    @example(values=np.arange(12), ties=False, floats=False, half=30, share=1.0, budget=None)
+    # count = 10 < m = 25, one window of 17 bins per block: the block loop runs 10 times
+    @example(values=np.arange(25), ties=True, floats=True, half=8, share=0.4, budget=1)
+    def test_equals_numpy_median(self, values, ties, floats, half, share, budget):
+        v = values % 3 if ties else values
+        v = v / 8.0 if floats else v
+        m, width = v.shape[0], 2 * half + 1
+        count = max(1, math.ceil(share * m))
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(adaptive, "_MEDIAN_BLOCK", budget)
+            got = adaptive._circular_median(v, width, count)
+        assert np.array_equal(got, sliding_median(v, width, count))
+
+
+class TestKProfileMemory:
+    @pytest.mark.parametrize("n", [2**13, 2**15])
+    def test_peak_is_bounded_by_the_median_budget(self, n):
+        """The K-profile median copies at most ``_MEDIAN_BLOCK`` window
+        elements at a time, beside four arrays of m/2 + 1 (the circular
+        extension, the medians, their whole-number copy and the clipped
+        profile).
+
+        At the default config's widths, 493 at 2^13 and 1,025 at 2^15, all
+        windows taken at once would copy 65 MB and 537 MB, against bounds
+        of 8.9 and 10.5 MB, so the bound holds only while the blocks do.
+        At 2^11 (width 237) every window fits in one block, and the bound
+        could not tell blocks from none.
+        """
+        cfg = AdaptiveConfig.default_for(n)
+        grid = default_grid(n)
+        k_raw = np.random.default_rng(5).integers(cfg.k_min, cfg.k_max + 1, size=grid.m)
+        tracemalloc.start()
+        try:
+            adaptive._smooth_k_profile(k_raw, cfg, grid, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (adaptive._MEDIAN_BLOCK + 4 * (grid.m // 2 + 1))
+        assert peak <= bound, (peak, bound)
 
 
 class TestTwoStage:

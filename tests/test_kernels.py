@@ -175,6 +175,23 @@ class TestShiftCombines:
         grid = FrequencyGrid(2 * (n + 1) * mult)
         return dft(rng.standard_normal(n), grid), grid.shift_step(n)
 
+    @staticmethod
+    def hull_profiles(n, m):
+        """Even profiles whose hulls (the bins of a block whose K reaches a
+        shift) end on a block's first or last bin or hold bins that K
+        does not reach, in one block of bins 0..m/2 or in blocks of 5."""
+        i = np.arange(m // 2 + 1)
+        halves = (
+            np.where(i % 3 == 1, 1, n),  # dips to K = 1 inside a block
+            # two humps of unequal height in one block of bins 0..m/2
+            np.maximum(n - 3 * np.abs(i - i.size // 4), n // 2 - 3 * np.abs(i - 3 * i.size // 4)),
+            np.where(i % 2 == 1, n, 1),  # two humps in every block of 4 or 5 bins
+            np.linspace(n, 1, i.size),  # each block's largest K on its first bin
+            np.linspace(1, n, i.size),  # ... and on its last bin
+            np.where(i == i.size // 2, n, 1),  # K = 1 everywhere except one bin
+        )
+        return tuple(_kernels._mirror(np.maximum(np.rint(h), 1).astype(np.int64), m) for h in halves)
+
     @pytest.mark.parametrize("n", [7, 16, 64])
     @pytest.mark.parametrize("mult", [1, 2])  # 2: the default grid
     def test_fixed_k_matches_full_grid(self, n, mult):
@@ -196,7 +213,7 @@ class TestShiftCombines:
         pair[3] = pair[m - 3] % n + 1  # even but for bins 3 and m - 3
         edge = even.copy()
         edge[m // 2 + 1] = edge[m // 2 - 1] % n + 1  # even but for bins m/2 - 1 and m/2 + 1
-        for prof in (even, k, pair, edge):
+        for prof in (even, k, pair, edge) + self.hull_profiles(n, m):
             got = _kernels.variable_k_combine(y, prof, step, n + 1.0, parabolic)
             ref = direct_variable_k(y, prof, step, n + 1.0, parabolic)
             assert np.array_equal(got, ref)

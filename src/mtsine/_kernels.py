@@ -160,17 +160,16 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
 
 def ar_recurse(innovations, coeffs):
     """Autoregressive recursion x[i] = e[i] + sum_p a_p x[i-1-p]."""
-    innovations = _f64(innovations)
-    coeffs = _f64(coeffs)
-    n = innovations.shape[0]
-    p = coeffs.shape[0]
-    x = np.empty(n)
-    for i in range(n):
-        acc = innovations[i]
-        for q in range(min(p, i)):
-            acc += coeffs[q] * x[i - 1 - q]
-        x[i] = acc
-    return x
+    # on Python floats: the same IEEE operations in the same order as on
+    # numpy scalars, at half the cost per sample
+    e = _f64(innovations).tolist()
+    a = _f64(coeffs).tolist()
+    x = []
+    for i, acc in enumerate(e):
+        for q in range(min(len(a), i)):
+            acc += a[q] * x[i - 1 - q]
+        x.append(acc)
+    return np.array(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ integers. Exit codes:
 0 on success, 2 for usage or input problems (``synth`` rejects a
 non-finite ``--sigma2`` or ``--coeffs``), 3 for numerical failures,
 including an output value that would be ``inf`` or ``nan``: then that
-file is not written.
+file is not written. :func:`main` may run many times in one process: it
+builds its parser once and keeps the last grid's frequency text.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -48,12 +50,17 @@ def _write_csv(path, header, columns):
 
     This is the one place numbers become text. A float column is written as
     ``repr`` of each float64, the shortest decimal that reads back to the
-    same value; any other column (counts, indices, labels) as ``str``. A
-    float column holding ``inf`` or ``nan`` raises ``FloatingPointError``
-    before the file is opened.
+    same value; any other column (counts, indices, labels) as ``str``; a
+    tuple of str is ready text, written as it is. A float column holding
+    ``inf`` or ``nan`` raises ``FloatingPointError`` before the file is
+    opened.
     """
     cells = []
-    for i, col in enumerate(map(np.asarray, columns)):
+    for i, col in enumerate(columns):
+        if isinstance(col, tuple) and isinstance(col[0], str):
+            cells.append(col)
+            continue
+        col = np.asarray(col)
         if col.dtype.kind == "f":
             if not np.all(np.isfinite(col)):
                 name = header[i] if header else "series"
@@ -103,10 +110,21 @@ def _half_grid(grid):
     return idx, f
 
 
+@functools.lru_cache(maxsize=1)
+def _frequency_text(m):
+    """``repr`` of each frequency :func:`_half_grid` gives on the m-point grid.
+
+    Kept for the last m only, as a tuple of str: about 38 bytes per grid
+    bin (0.31 MB at m = 8,196, 9.9 MB at m = 262,148), never the grid's
+    own m floats. Every half-grid file on that grid reuses it.
+    """
+    return tuple(map(repr, _half_grid(FrequencyGrid(m))[1].tolist()))
+
+
 def _write_half_grid(path, grid, names, columns):
     """The spectral layout: ``f`` over [0, 1/2], then each column at those bins."""
-    idx, f = _half_grid(grid)
-    _write_csv(path, ["f", *names], [f, *(c[idx] for c in columns)])
+    idx = grid.nonnegative_indices()
+    _write_csv(path, ["f", *names], [_frequency_text(grid.m), *(c[idx] for c in columns)])
 
 
 def _k_labels(k_count):
@@ -275,7 +293,6 @@ def build_parser():
                    help="window grid density, points per sample (default 16)")
     p.add_argument("--out", help="output CSV; companions *_window.csv and "
                    "*_bias.csv are written next to it")
-    p.set_defaults(func=cmd_tapers)
 
     p = sub.add_parser("estimate", help="fixed-K sinusoidal multitaper estimate")
     p.add_argument("--input", required=True, help="series CSV, one sample per line")
@@ -285,7 +302,6 @@ def build_parser():
                    "default ~4n)")
     p.add_argument("--json", action="store_true", help="emit JSON with metadata")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("adaptive", help="two-stage adaptive log-spectrum estimate")
     p.add_argument("--input", required=True)
@@ -299,7 +315,6 @@ def build_parser():
     p.add_argument("--grid-size", type=int)
     p.add_argument("--out", required=True,
                    help="estimate CSV; the K or w profile lands in *_profile.csv")
-    p.set_defaults(func=cmd_adaptive)
 
     p = sub.add_parser("tables", help="reproduce the comparison tables")
     p.add_argument("--which", type=int, required=True, choices=[1, 2, 3, 4])
@@ -317,7 +332,6 @@ def build_parser():
     p.add_argument("--vectors-out",
                    help="table 4 only: also dump the leading eigenvectors")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("synth", help="generate a synthetic series")
     p.add_argument("--model", required=True, choices=["white", "ar"])
@@ -329,7 +343,6 @@ def build_parser():
     p.add_argument("--grid-size", type=int)
     p.add_argument("--truth-out", help="also write the exact spectrum CSV")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("compare", help="score estimators against a known spectrum")
     p.add_argument("--input", required=True)
@@ -339,15 +352,20 @@ def build_parser():
                    help="adaptive modes to score (comma list, may be empty)")
     p.add_argument("--grid-size", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser :func:`main` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapper set on cli.cmd_* later still runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -102,9 +102,15 @@ def kernel_transfer(kernel, w, lag):
 
 
 def smooth_quadratic(q, kernel, w):
-    """Kernel-smoothed estimator: entrywise product with the transfer at lag."""
-    lags = np.subtract.outer(np.arange(q.n), np.arange(q.n))
-    return QuadraticEstimator(q.matrix * kernel_transfer(kernel, w, lags))
+    """Kernel-smoothed estimator: entrywise product with the transfer at lag.
+
+    The transfer is evaluated once per distinct lag 1-n..n-1 and gathered
+    into the Toeplitz n x n pattern.
+    """
+    n = q.n
+    transfer = kernel_transfer(kernel, w, np.arange(1 - n, n))
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    return QuadraticEstimator(q.matrix * transfer[lags + (n - 1)])
 
 
 def quadratic_to_multitaper(q, rank_tolerance=1e-10):

@@ -445,6 +445,85 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+@pytest.fixture
+def fresh_caches():
+    """Start and end without the parser or the frequency text of earlier calls."""
+    def clear():
+        cli._parser.cache_clear()
+        cli._frequency_text.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+class TestOneProcess:
+    """``main`` may run many times in one process: it builds its parser once,
+    dispatches by command name at call time and keeps the last grid's
+    frequency text, and every file is the one a fresh process writes."""
+
+    def test_parser_built_once_without_leaking_flags(self, tmp_path, monkeypatch, fresh_caches):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        series = tmp_path / "x.csv"
+        assert run(["synth", "--model", "white", "--n", "32", "--seed", "5", "--out", series]) == 0
+        parabolic, default = tmp_path / "parabolic.csv", tmp_path / "default.csv"
+        assert run(["estimate", "--input", series, "--k", "4", "--weights", "parabolic",
+                    "--out", parabolic]) == 0
+        assert run(["estimate", "--input", series, "--k", "4", "--out", default]) == 0
+        assert built == [1]
+        # the third call ran with the default weights, not the second's flag
+        _, rows = read_csv(default)
+        est = sinusoidal_estimate_fast(np.loadtxt(series), 4, "uniform", default_grid(32))
+        assert_float_cells([r[1] for r in rows], est.values[: len(rows)])
+        assert default.read_bytes() != parabolic.read_bytes()
+
+    def test_wrapper_set_after_first_call_runs(self, tmp_path, monkeypatch, fresh_caches):
+        # how a tracer times cli.cmd_*: it replaces them between calls
+        series = tmp_path / "x.csv"
+        assert run(["synth", "--model", "white", "--n", "32", "--out", series]) == 0
+        argv = ["estimate", "--input", series, "--k", "4", "--out", tmp_path / "e.csv"]
+        assert run(argv) == 0
+        seen = []
+        estimate = cli.cmd_estimate
+        monkeypatch.setattr(cli, "cmd_estimate", lambda args: seen.append(args.k) or estimate(args))
+        assert run(argv) == 0
+        assert seen == [4]
+
+    def test_files_match_a_fresh_process(self, tmp_path, fresh_caches):
+        series = tmp_path / "x.csv"
+        assert run(["synth", "--model", "ar", "--coeffs", "0.5,-0.3", "--n", "64",
+                    "--seed", "9", "--out", series]) == 0
+
+        def argvs(d):
+            # the default grid (m = 260), two others, an odd grid (m = 9), the
+            # tapers' window grid (m = 256), then the default grid again
+            return [
+                ["estimate", "--input", series, "--k", "4", "--out", d / "e0.csv"],
+                ["estimate", "--input", series, "--k", "4", "--grid-size", "130",
+                 "--out", d / "e1.csv"],
+                ["estimate", "--input", series, "--k", "6", "--grid-size", "390",
+                 "--out", d / "e2.csv"],
+                ["synth", "--model", "ar", "--coeffs", "0.5", "--n", "8", "--grid-size", "9",
+                 "--out", d / "s.csv", "--truth-out", d / "t.csv"],
+                ["tapers", "--family", "sine", "--n", "16", "--k", "2", "--out", d / "w.csv"],
+                ["estimate", "--input", series, "--k", "8", "--out", d / "e3.csv"],
+            ]
+
+        kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+        for d in (kept, fresh):
+            d.mkdir()
+            for argv in argvs(d):
+                if d == fresh:
+                    fresh_caches()
+                assert run(argv) == 0
+        names = sorted(p.name for p in kept.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir()) and len(names) == 9
+        for name in names:
+            assert (kept / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert len(read_csv(kept / "t.csv")[1]) == 5  # bins 0..4 of m = 9
+
+
 @st.composite
 def input_text(draw):
     """An input file: empty, one sample, a nan row, all zeros, a 1e300 spike,

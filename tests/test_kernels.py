@@ -229,6 +229,27 @@ class TestShiftCombinesInSmallBlocks(TestShiftCombines):
         monkeypatch.setattr(_kernels, "_SHIFT_BLOCK", 5)
 
 
+def direct_ar(e, a):
+    """The AR recursion on numpy float64 scalars, one sample at a time."""
+    x = np.empty(e.shape[0])
+    for i in range(e.shape[0]):
+        acc = e[i]
+        for q in range(min(a.shape[0], i)):
+            acc += a[q] * x[i - 1 - q]
+        x[i] = acc
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 3, 500])  # 3: shorter than p = 5
+@pytest.mark.parametrize("coeffs", [[], [0.9], [0.6057, -0.9604], [0.5, -0.3, 0.2, 0.1, -0.05]])
+def test_ar_recurse_matches_direct_recursion(n, coeffs):
+    e = rng.standard_normal(n)
+    a = np.array(coeffs, dtype=np.float64)
+    x = _kernels.ar_recurse(e, a)
+    assert x.dtype == np.float64 and x.shape == (n,)
+    assert np.array_equal(x, direct_ar(e, a))
+
+
 def _fft_calls(path):
     """Line numbers of the ``<...>.fft.fft(...)`` and ``<...>.fft.ifft(...)`` calls."""
     return [

@@ -121,6 +121,17 @@ class TestSmoothQuadratic:
         overlaps = np.abs(np.sum(fam.taper_matrix[:k] * slep, axis=1))
         assert np.min(overlaps) > 1.0 - 1e-8
 
+    @pytest.mark.parametrize("n", [20, 50, 199, 200, 257, 1000])
+    @pytest.mark.parametrize("kernel", [BOX, EPANECHNIKOV])
+    def test_transfer_on_distinct_lags_matches_dense(self, n, kernel):
+        # the transfer is evaluated once per lag 1-n..n-1, bit for bit the
+        # product with the transfer over the whole n x n lag matrix
+        q = tapered_quadratic(split_cosine_taper(n, 0.4))
+        lags = np.subtract.outer(np.arange(n), np.arange(n))
+        for w in (0.001, 0.01, 0.07, 0.3):
+            dense = q.matrix * kernel_transfer(kernel, w, lags)
+            assert np.array_equal(smooth_quadratic(q, kernel, w).matrix, dense)
+
     def test_closed_matrix_diagonal(self):
         n = 20
         sm = smooth_quadratic(periodogram_quadratic(n), EPANECHNIKOV, 0.5)

@@ -235,14 +235,16 @@ def window_average(values, half_bins, scale, kernel_id):
     return out
 
 
-def smooth_circular(values, scale, kernel_id):
-    """Smooth with one halfwidth: the kernel stretched over ``scale`` bins.
+def smooth_circular(values, scale, kernel_id, count=None):
+    """Smooth bins 0..count-1 (every bin by default) with one halfwidth:
+    the kernel stretched over ``scale`` bins.
 
     ``scale`` need not be whole; the window covers ``floor(scale)`` bins
     on each side.
     """
     values = _f64(values)
-    half = np.full(values.shape, np.floor(scale), dtype=np.int64)
+    count = values.shape[0] if count is None else count
+    half = np.full(count, np.floor(scale), dtype=np.int64)
     return window_average(values, half, float(scale), int(kernel_id))
 
 

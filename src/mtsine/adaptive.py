@@ -212,9 +212,11 @@ _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives
 
 
 def _pilot_derivatives(series, config, grid):
-    """Pilot log estimate, its smoothed version, and two grid derivatives.
+    """Pilot log estimate on the whole grid; its smoothed version and two
+    grid derivatives at bins 0..m/2.
 
-    The pilot needs at least ``2 * pilot_k`` samples.
+    The smooth is even, so the differences read it mirrored past 0 and
+    m/2. The pilot needs at least ``2 * pilot_k`` samples.
     """
     n = series.shape[0]
     if n < 2 * config.pilot_k:
@@ -229,12 +231,12 @@ def _pilot_derivatives(series, config, grid):
         if finite.size == 0:
             raise ValueError("pilot estimate has no finite bins")
         theta = np.where(np.isfinite(theta), theta, finite.min())
+    half, d = grid.m // 2 + 1, _DIFF_STEP_BINS
     smooth = _kernels.smooth_circular(
-        theta, config.curvature_halfwidth * grid.m, config.kernel.kernel_id
+        theta, config.curvature_halfwidth * grid.m, config.kernel.kernel_id, half
     )
-    h = _DIFF_STEP_BINS / grid.m
-    up = np.roll(smooth, -_DIFF_STEP_BINS)
-    dn = np.roll(smooth, _DIFF_STEP_BINS)
+    ext = _kernels._mirror(smooth, grid.m).take(np.arange(-d, half + d), mode="wrap")
+    up, dn, h = ext[2 * d :], ext[:half], d / grid.m
     th1 = (up - dn) / (2.0 * h)
     th2 = (up - 2.0 * smooth + dn) / (h * h)
     return theta, smooth, th1, th2
@@ -244,13 +246,14 @@ def curvature_pilot(series, config, grid=None):
     """Pilot estimate of the log-spectrum curvature.
 
     A ``pilot_k``-taper log estimate is smoothed with a wide kernel and
-    differentiated twice by central differences on the grid.
+    differentiated twice by central differences at bins 0..m/2, which are
+    mirrored to the rest of the grid.
     """
     x = as_series(series)
     if grid is None:
         grid = default_grid(x.shape[0])
     _, _, _, th2 = _pilot_derivatives(x, config, grid)
-    return CurvatureProfile(grid, th2)
+    return CurvatureProfile(grid, _kernels._mirror(th2, grid.m))
 
 
 # elements copied per block of the moving median: bounds its working memory
@@ -277,11 +280,7 @@ def _circular_median(values, width, count=None):
 
 def _smooth_k_profile(k_raw, config, grid, n):
     """Moving median over twice the pilot halfwidth, then re-clamp, at
-    bins 0..m/2.
-
-    The windows are read from the circular extension of ``k_raw``, not a
-    mirrored one: ``k_raw`` need not be bitwise even.
-    """
+    bins 0..m/2 of the circular ``k_raw``."""
     width = int(round(config.pilot_k * grid.m / n))
     width = max(3, width + (width + 1) % 2)
     prof = _circular_median(k_raw, width, grid.m // 2 + 1).astype(np.int64)
@@ -309,10 +308,9 @@ def two_stage_log_estimate(series, config=None, grid=None):
     if grid is None:
         grid = default_grid(n)
     theta, theta_s, th1, th2 = _pilot_derivatives(x, config, grid)
-    half = grid.m // 2 + 1
 
     if config.mode == "variable_w":
-        halfwidths = w_opt(th2[:half], n, config.pilot_k, config.kernel, grid_m=grid.m)
+        halfwidths = w_opt(th2, n, config.pilot_k, config.kernel, grid_m=grid.m)
         bins = np.clip(np.rint(halfwidths * grid.m), 1, grid.m // 4).astype(np.int64)
         smoothed = _kernels.smooth_variable(theta, bins, config.kernel.kernel_id)
         return SpectralEstimate(
@@ -328,5 +326,5 @@ def two_stage_log_estimate(series, config=None, grid=None):
     level = np.exp(theta_s)
     curv = (th2 + th1 * th1) * level
     k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
-    k_prof = _smooth_k_profile(k_raw, config, grid, n)
+    k_prof = _smooth_k_profile(_kernels._mirror(k_raw, grid.m), config, grid, n)
     return log_multitaper(x, _kernels._mirror(k_prof, grid.m), grid)

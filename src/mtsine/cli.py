@@ -103,7 +103,7 @@ def _sidecar(path, suffix):
 
 def _half_grid(grid):
     """Indices of the bins in [0, 1/2] and their frequencies."""
-    idx = grid.nonnegative_indices()
+    idx = np.arange(grid.m // 2 + 1)
     f = np.abs(grid.frequencies[idx])
     if grid.m % 2 == 0:
         f[-1] = 0.5  # the wrapped -1/2 bin reports as the Nyquist edge
@@ -123,8 +123,8 @@ def _frequency_text(m):
 
 def _write_half_grid(path, grid, names, columns):
     """The spectral layout: ``f`` over [0, 1/2], then each column at those bins."""
-    idx = grid.nonnegative_indices()
-    _write_csv(path, ["f", *names], [_frequency_text(grid.m), *(c[idx] for c in columns)])
+    half = grid.m // 2 + 1
+    _write_csv(path, ["f", *names], [_frequency_text(grid.m), *(c[:half] for c in columns)])
 
 
 def _k_labels(k_count):

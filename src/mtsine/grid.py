@@ -78,10 +78,6 @@ class FrequencyGrid:
             )
         return self.m // block
 
-    def nonnegative_indices(self):
-        """Indices of bins reported as f in [0, 1/2] (the -1/2 bin maps to 1/2)."""
-        return np.arange(self.m // 2 + 1)
-
 
 def default_grid(n):
     """Estimation grid: the smallest multiple of 2*(n+1) that is >= 2n.

@@ -465,6 +465,31 @@ class TestKProfileMemory:
         assert peak <= bound, (peak, bound)
 
 
+class TestEstimateMemory:
+    @pytest.mark.parametrize("mode,n", [("variable_w", 2**13), ("variable_w", 2**15),
+                                        ("variable_k", 2**15)])
+    def test_warm_peak_per_grid_bin(self, mode, n):
+        """A warm estimate's ``tracemalloc`` peak is at most 20 float64 per
+        grid bin; it reads about 16.4 with the pilot smoothed on bins
+        0..m/2, and 31.1 with it smoothed on all m bins.
+
+        Warm means run once first, so the cached chirp plan is not counted.
+        ``variable_k`` at 2^13 and 2^14 is left out: there the K-profile
+        median's fixed block of ``_MEDIAN_BLOCK`` elements sets the peak,
+        at 38 and 22 float64 per bin, whatever the pilot does.
+        """
+        x = generate(ProcessSpec.ar((1.3, -0.8), 1.0, 7), n)
+        cfg, grid = AdaptiveConfig.default_for(n, mode), default_grid(n)
+        two_stage_log_estimate(x, cfg, grid)
+        tracemalloc.start()
+        try:
+            two_stage_log_estimate(x, cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * grid.m, peak / (8 * grid.m)
+
+
 class TestTwoStage:
     def test_white_noise_hits_k_max(self):
         x = generate(ProcessSpec.white(1.0, seed=3), 1024)
@@ -532,9 +557,12 @@ class TestTwoStage:
         self.assert_exactly_even(est.values)
         self.assert_exactly_even(est.w_used)
 
+    def test_curvature_pilot_is_exactly_even(self):
+        # a smooth of the whole grid would differ from its mirror at most bins
+        x = generate(ProcessSpec.ar((1.3, -0.8), 1.0, 7), 4096)
+        self.assert_exactly_even(curvature_pilot(x, AdaptiveConfig.default_for(4096)).values)
+
     def test_variable_k_is_exactly_even(self):
-        # on this series pilot round-off rounds k_opt to different whole K at
-        # one pair of mirror bins
         x = generate(ProcessSpec.ar((1.3, -0.8), 1.0, 14), 2**14)
         est = two_stage_log_estimate(x)
         self.assert_exactly_even(est.values)

@@ -55,6 +55,10 @@ class TestSmoother:
         got = _kernels.smooth_circular(v, scale, kernel_id)
         half = np.full(m, int(np.floor(scale)))
         assert_close_to_direct(got, v, half, scale, kernel_id)
+        # the first bins alone, as the pilot smooths bins 0..m/2, bit for bit
+        for count in (m // 2 + 1, 1):
+            assert np.array_equal(_kernels.smooth_circular(v, scale, kernel_id, count),
+                                  got[:count])
 
     @pytest.mark.parametrize("kernel_id", [0, 1])
     @pytest.mark.parametrize("m", [96, 97])

@@ -1,8 +1,9 @@
 """Hot numeric kernels, all plain numpy.
 
-The estimate of a real series is even in f, so a kernel computes bins
-0..m/2 (or one output per halfwidth entry) and its caller mirrors the
-result once with :func:`_mirror`. The shift combines have one primitive,
+Every primitive computes the bins its caller names (one output per
+entry of its count or halfwidth array). The estimate of a real series
+is even in f, so callers take bins 0..m/2 of an even result and mirror
+them once with :func:`_mirror`. The shift combines have one primitive,
 :func:`_shift_sums` (a loop over blocks of bins with the shift loop
 inside), behind :func:`combine_shifts` (one taper count, any weights)
 and :func:`variable_k_combine` (one taper count per bin).
@@ -51,10 +52,11 @@ _SHIFT_BLOCK = 1 << 14
 
 
 def _shift_sums(y, step, k, g):
-    """Shift-pair sums ``sums[q, i] = sum_{j <= K_i} g[q, j-1] |d_j(i)|^2``, i <= m//2.
+    """Shift-pair sums ``sums[q, i] = sum_{j <= k[i]} g[q, j-1] |d_j(i)|^2``, i < len(k).
 
-    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid; k is
-    one count or one per bin 0..m//2. Bins 0..m//2 are cut into equal
+    ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid of
+    ``m = len(y)`` bins; k holds one count per output bin, so its length
+    sets which bins 0..len(k)-1 are summed. They are cut into equal
     blocks of at most ``_SHIFT_BLOCK`` bins (no short last one pays a
     block's calls); each runs shifts 1 to its largest K on slices of the
     real and imaginary planes of y. A shift j past the block's smallest K
@@ -62,17 +64,15 @@ def _shift_sums(y, step, k, g):
     both ends found by ``searchsorted`` on the running maximum of K from
     each end, and adds only where K reaches j inside it. Every bin gets
     the same additions in the same order as over the whole block. The
-    work is about sum_i K_i for a K with one hump per block; a single K
+    work is about sum_i K_i for a K with one hump per block; a constant K
     takes neither hull nor mask. Overflow gives inf (or nan) without a
     warning; the caller's estimate reports it.
     """
-    m = y.shape[0]
-    half = m // 2 + 1
-    k = np.broadcast_to(k, (half,))
-    count = -(-half // _SHIFT_BLOCK)
-    cuts = [half * c // count for c in range(count + 1)]
-    sums = np.empty((g.shape[0], half))
-    p, t = np.empty((2, min(half, _SHIFT_BLOCK)))
+    m, bins = y.shape[0], k.shape[0]
+    count = -(-bins // _SHIFT_BLOCK)
+    cuts = [bins * c // count for c in range(count + 1)]
+    sums = np.empty((g.shape[0], bins))
+    p, t = np.empty((2, min(bins, _SHIFT_BLOCK)))
     # a row of ones adds |d_j|^2 as it is: the multiply by one changes no bit
     unit = np.all(g == 1.0, axis=1)
     ones, scaled = np.flatnonzero(unit).tolist(), np.flatnonzero(~unit).tolist()
@@ -119,7 +119,8 @@ def combine_shifts(y, weights, step):
     mirrored once.
     """
     weights, y = _f64(weights), _c128(y)
-    return _mirror(_shift_sums(y, int(step), weights.shape[0], weights[None, :])[0], y.shape[0])
+    k = np.broadcast_to(weights.shape[0], (y.shape[0] // 2 + 1,))
+    return _mirror(_shift_sums(y, int(step), k, weights[None, :])[0], y.shape[0])
 
 
 def _parabolic_norm(k):
@@ -133,29 +134,25 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
     ``k_profile[i]`` tapers are averaged at bin i with uniform or
     parabolic weights summing to one; the result carries the
     1/(2*(N+1)) scaling with ``n1 = N + 1``. y is Hermitian, so
-    |d_j(m-i)| = |d_j(i)| bitwise: bins 0..m/2 are estimated at the
-    profile read at -f and mirrored, and only a profile that is not even
-    estimates bins 0..m/2 once more at its own counts.
+    |d_j(m-i)| = |d_j(i)| bitwise: an even profile (every one the
+    adaptive estimator makes) is summed on bins 0..m/2 and mirrored once,
+    any other on all m bins.
     """
     k = np.ascontiguousarray(k_profile, dtype=np.int64)
-    m, half = k.shape[0], k.shape[0] // 2 + 1
+    m = k.shape[0]
+    even = np.array_equal(k[1:], k[:0:-1])  # bins 0 and m/2 are their own mirrors
+    k = k[: m // 2 + 1] if even else k
     j = np.arange(1.0, k.max() + 1.0)
     g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
-    k_neg = k[-np.arange(half) % m]  # mirrored, it gives bins past m/2 their own K
-    ests = []
-    for kh in [k_neg] + ([] if np.array_equal(k_neg, k[:half]) else [k[:half]]):
-        sums = _shift_sums(_c128(y), int(step), kh, g)
-        est = sums[0] / (2.0 * n1 * kh)
-        if parabolic:
-            sel = kh > 1
-            ks = kh[sel]
-            c = 1.0 / _parabolic_norm(ks)
-            with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
-                est[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
-        ests.append(est)
-    out = _mirror(ests[0], m)
-    out[:half] = ests[-1]
-    return out
+    sums = _shift_sums(_c128(y), int(step), k, g)
+    est = sums[0] / (2.0 * n1 * k)
+    if parabolic:
+        sel = k > 1
+        ks = k[sel]
+        c = 1.0 / _parabolic_norm(ks)
+        with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
+            est[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
+    return _mirror(est, m) if even else est
 
 
 def ar_recurse(innovations, coeffs):

@@ -246,6 +246,29 @@ class TestCurvaturePilot:
         prof = curvature_pilot(x, cfg)
         assert np.all(np.isfinite(prof.values))
 
+    @staticmethod
+    def underflowing(scale):
+        """The resonance at n = 256 scaled down until pilot bins underflow to
+        zero power, -inf in the log: 165 of 1,028 at 1e-161, 830 at 1e-162."""
+        return scale * generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=3), 256)
+
+    def test_underflowed_pilot_bins_are_floored(self):
+        x, cfg = self.underflowing(1e-161), AdaptiveConfig.default_for(256)
+        floored = np.isneginf(log_multitaper(x, cfg.pilot_k).values).sum()
+        assert 0 < floored < 1028 // 2
+        assert np.all(np.isfinite(curvature_pilot(x, cfg).values))
+        k = two_stage_log_estimate(x, cfg).k_used
+        assert cfg.k_min <= k.min() and k.max() <= cfg.k_max
+
+    def test_mostly_floored_pilot_smooths_to_finite_values(self):
+        x, cfg = self.underflowing(1e-162), AdaptiveConfig.default_for(256, "variable_w")
+        assert np.isneginf(log_multitaper(x, cfg.pilot_k).values).sum() > 1028 // 2
+        assert np.all(np.isfinite(two_stage_log_estimate(x, cfg).values))
+
+    def test_pilot_without_a_finite_bin_is_refused(self):
+        with pytest.raises(ValueError, match="pilot estimate has no finite bins"):
+            curvature_pilot(np.zeros(256), AdaptiveConfig.default_for(256))
+
 
 class TestVariableK:
     def test_constant_profile_reduces_to_fast_path(self):
@@ -426,6 +449,11 @@ class TestCircularMedianProperties:
     @example(values=np.arange(12), ties=False, floats=False, half=30, share=1.0, budget=None)
     # count = 10 < m = 25, one window of 17 bins per block: the block loop runs 10 times
     @example(values=np.arange(25), ties=True, floats=True, half=8, share=0.4, budget=1)
+    # a long core of distinct values: numpy sorts short rows whole, so only a
+    # core this long catches a blocked median that partitions at one rank
+    # instead of two
+    @example(values=np.random.default_rng(600).permutation(600), ties=False, floats=False,
+             half=250, share=1.0, budget=None)
     def test_equals_numpy_median(self, values, ties, floats, half, share, budget):
         v = values % 3 if ties else values
         v = v / 8.0 if floats else v

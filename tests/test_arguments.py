@@ -4,12 +4,14 @@ A count (a length, a taper count or index, a grid size, a seed) is an
 integer: any integer type is accepted and gives the same result as the
 ``int``, and a float, even a whole one, or a string is refused with a
 ``ValueError`` that names the argument. A halfwidth lies in (0, 1/2].
-Both rules live in ``grid.py`` and nowhere else.
+Both rules live in ``grid.py`` and nowhere else. Every other argument
+guard refuses its bad value with the error and message it documents.
 """
 
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,26 +22,39 @@ from mtsine import (
     BOX,
     EPANECHNIKOV,
     AdaptiveConfig,
+    ComparisonTable,
+    CurvatureProfile,
     FrequencyGrid,
     ProcessSpec,
+    QuadraticEstimator,
+    SpectralEstimate,
+    SpectralWindow,
+    TaperFamily,
+    WeightScheme,
     asymptotic_sinusoidal_loss,
     bias_table,
     concentration_table,
     continuous_mb_window,
     convergence_distances,
     default_grid,
+    evaluate_quadratic,
+    expected_square_error,
     generate,
     k_opt,
+    kernel_by_name,
     kernel_smooth,
     kernel_transfer,
     local_bias_matrix,
     make_weights,
     minimum_bias_family,
+    multitaper_estimate,
     periodogram_quadratic,
+    sinusoidal_estimate_fast,
     sinusoidal_family,
     sinusoidal_taper,
     sinusoidal_window_closed,
     slepian_family,
+    spectral_window,
     split_cosine_taper,
     w_opt,
     window_grid,
@@ -106,6 +121,79 @@ HALFWIDTHS = {
         pilot_k=6, curvature_halfwidth=w),
 }
 
+GRID8 = FrequencyGrid(8)
+SINE4 = sinusoidal_family(4, 2)
+UNIFORM2 = make_weights("uniform", 2)
+
+# "function: what is wrong": (a call that is refused, its error, its message)
+REFUSALS = {
+    "kernel_by_name: unknown name": (
+        lambda: kernel_by_name("gauss"), ValueError, "unknown kernel 'gauss'"),
+    "kernel_smooth: values of the wrong length": (
+        lambda: kernel_smooth(np.ones(7), EPANECHNIKOV, 0.25, GRID8),
+        ValueError, "values must have one entry per grid bin"),
+    "CurvatureProfile: values of the wrong length": (
+        lambda: CurvatureProfile(GRID8, np.ones(7)),
+        ValueError, "values must have one entry per grid bin"),
+    "WeightScheme: unknown kind": (
+        lambda: WeightScheme(np.full(2, 0.5), "cosine"),
+        ValueError, "unknown weight kind 'cosine'"),
+    "make_weights: unknown kind": (
+        lambda: make_weights("cosine", 2), ValueError, "unknown weight kind 'cosine'"),
+    "SpectralEstimate: values of the wrong length": (
+        lambda: SpectralEstimate(GRID8, np.ones(7), 1, None),
+        ValueError, "values must have one entry per grid bin"),
+    "SpectralEstimate: unknown scale": (
+        lambda: SpectralEstimate(GRID8, np.ones(8), 1, None, scale="db"),
+        ValueError, "unknown scale 'db'"),
+    "SpectralEstimate: negative linear values": (
+        lambda: SpectralEstimate(GRID8, -np.ones(8), 1, None),
+        ValueError, "linear-scale spectral values must be nonnegative"),
+    "multitaper_estimate: family that is not a TaperFamily": (
+        lambda: multitaper_estimate(np.ones(4), SINE4.taper_matrix, UNIFORM2),
+        TypeError, "family must be a TaperFamily"),
+    "multitaper_estimate: family of the wrong length": (
+        lambda: multitaper_estimate(np.ones(5), SINE4, UNIFORM2),
+        ValueError, "family length 4 does not match series length 5"),
+    "multitaper_estimate: grid with m < 2n": (
+        lambda: multitaper_estimate(np.ones(4), SINE4, UNIFORM2, FrequencyGrid(7)),
+        ValueError, "estimation grid must have m >= 2n, got m=7"),
+    "sinusoidal_estimate_fast: weight count other than K": (
+        lambda: sinusoidal_estimate_fast(np.ones(4), 3, UNIFORM2),
+        ValueError, "2 weights for K=3 tapers"),
+    "expected_square_error: wrong bias count": (
+        lambda: expected_square_error(1.0, 1.0, UNIFORM2, [0.1]),
+        ValueError, "one local bias per weight is required"),
+    "k_opt: nan curvature": (
+        lambda: k_opt(1.0, math.nan, 100), ValueError, "curvature must not be nan"),
+    "TaperFamily: more tapers than samples": (
+        lambda: TaperFamily(np.eye(3)[:, :2]),
+        ValueError, "cannot have more tapers than samples: K=3, n=2"),
+    "SpectralWindow: values of the wrong length": (
+        lambda: SpectralWindow(GRID8, np.ones(7)),
+        ValueError, "values must have one entry per grid bin"),
+    "spectral_window: grid shorter than the taper": (
+        lambda: spectral_window(sinusoidal_taper(8, 1), FrequencyGrid(7)),
+        ValueError, "grid size 7 must be at least the taper length"),
+    "_own_array: wrong number of dimensions": (
+        lambda: WeightScheme(np.full((2, 2), 0.25)),
+        ValueError, "weights must be a nonempty 1-d array"),
+    "ComparisonTable: values that do not match the labels": (
+        lambda: ComparisonTable((1, 2), ("a",), np.ones((2, 2))),
+        ValueError, "table dimensions do not match the labels"),
+    "QuadraticEstimator: matrix that is not square": (
+        lambda: QuadraticEstimator(np.ones((2, 3))),
+        ValueError, "quadratic estimator must be a square matrix"),
+    "evaluate_quadratic: series of the wrong length": (
+        lambda: evaluate_quadratic(periodogram_quadratic(4), np.ones(5), 0.1),
+        ValueError, "series length (5,) does not match order 4"),
+    "ProcessSpec: unknown kind": (
+        lambda: ProcessSpec("ma", (), 1.0, 0), ValueError, "unknown process kind 'ma'"),
+    "ProcessSpec: white noise with coefficients": (
+        lambda: ProcessSpec("white", (0.5,), 1.0, 0),
+        ValueError, "white noise takes no AR coefficients"),
+}
+
 
 def _argument(case_id):
     """The argument a case id names: the part after the last dot, no suffix."""
@@ -142,6 +230,13 @@ class TestCounts:
 def test_refuses_a_halfwidth_outside_the_half_band(case_id, bad):
     with pytest.raises(ValueError, match=rf"\b{_argument(case_id)}\b.*\(0, 1/2\]"):
         HALFWIDTHS[case_id](bad)
+
+
+@pytest.mark.parametrize("case_id", REFUSALS)
+def test_refuses_a_bad_argument(case_id):
+    call, error, message = REFUSALS[case_id]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_config_stores_ints_and_a_float():

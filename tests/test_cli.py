@@ -37,6 +37,16 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def series_text(x):
+    return "".join(f"{v!r}\n" for v in x.tolist())
+
+
+# a resonance at n = 256; scaled by 1e-162, its pilot estimate underflows
+# to zero power at most bins
+RESONANCE = generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=3), 256)
+UNDERFLOWING_TEXT = series_text(1e-162 * RESONANCE)
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -142,6 +152,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_white_noise_with_coefficients_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--model", "white", "--coeffs", "0.5", "--n", "16",
+                    "--out", out]) == 2
+        assert "white noise takes no --coeffs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_max_above_series_length_exits_two(self, tmp_path, capsys):
+        series, out = tmp_path / "x.csv", tmp_path / "ad.csv"
+        assert run(["synth", "--model", "white", "--n", "64", "--out", series]) == 0
+        assert run(["adaptive", "--input", series, "--k-max", "65", "--out", out]) == 2
+        assert "k_max=65 exceeds series length 64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 24.3 GiB")
@@ -151,6 +175,44 @@ class TestExitCodes:
         run(["synth", "--model", "white", "--n", "64", "--out", series])
         assert run(["adaptive", "--input", series, "--out", tmp_path / "ad.csv"]) == 3
         assert "out of memory" in capsys.readouterr().err
+
+
+class TestStandardOutput:
+    """Without --out a command writes to standard output the bytes it writes
+    to the --out file; tapers then writes no companion files."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--model", "ar", "--coeffs", "0.5", "--n", "64", "--seed", "3"],
+        ["estimate", "--input", "x.csv", "--k", "4"],
+        ["estimate", "--input", "x.csv", "--k", "4", "--json"],
+        ["tapers", "--family", "sine", "--n", "16", "--k", "3"],
+        ["tables", "--which", "1", "--sizes", "20"],
+    ], ids=["synth", "estimate", "estimate_json", "tapers", "tables"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--model", "white", "--n", "64", "--out", "x.csv"]) == 0
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+        assert run(argv + ["--out", "out.csv"]) == 0
+        assert printed.encode() == (tmp_path / "out.csv").read_bytes()
+
+
+class TestSidecarNames:
+    """An --out path without an extension gets companions named
+    ``<path>_<suffix>.csv``."""
+
+    def test_adaptive(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--model", "white", "--n", "64", "--out", "x.csv"]) == 0
+        assert run(["adaptive", "--input", "x.csv", "--out", "ad"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["ad", "ad_profile.csv", "x.csv"]
+        assert read_csv(tmp_path / "ad_profile.csv")[0] == ["f", "k"]
+
+    def test_tapers(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["tapers", "--family", "sine", "--n", "16", "--k", "3", "--out", "t"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["t", "t_bias.csv", "t_window.csv"]
 
 
 class TestDeterminism:
@@ -400,6 +462,16 @@ class TestAdaptiveCommand:
         assert "too short for pilot_k=12" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "ad_profile.csv").exists()
 
+    def test_underflowed_pilot_exits_three_without_files(self, tmp_path, capsys):
+        # 830 of 1,028 pilot bins underflow and are floored; the final
+        # variable-K estimate still holds -inf, so nothing is written
+        series = tmp_path / "x.csv"
+        series.write_text(UNDERFLOWING_TEXT)
+        out = tmp_path / "ad.csv"
+        assert run(["adaptive", "--mode", "variable_k", "--input", series, "--out", out]) == 3
+        assert "would hold inf or nan" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["x.csv"]
+
     def test_has_no_correction_flag(self, tmp_path, capsys):
         # the log estimate subtracts psi(K) - ln K only; the flag is gone
         with pytest.raises(SystemExit) as exc:
@@ -590,6 +662,11 @@ class TestFailureContract:
     @example("0.5\n-0.25\n1.5\n" * 8, "estimate", 40, None)
     @example("0.5\n-0.25\n1.5\n" * 8, "compare", 4, 100)
     @example("0.5\n-0.25\n1.5\n" * 8, "variable_k", 4, None)
+    # the resonance at n = 256 times 1e-161 or 1e-162: the pilot floors 165 or
+    # 830 of its 1,028 bins; the first estimate is finite, the second not
+    @example(series_text(1e-161 * RESONANCE), "variable_k", 4, None)
+    @example(UNDERFLOWING_TEXT, "variable_k", 4, None)
+    @example(UNDERFLOWING_TEXT, "variable_w", 4, None)
     def test_exit_code_and_outputs(self, text, command, k, grid_size):
         with tempfile.TemporaryDirectory() as tmp:
             series, truth = os.path.join(tmp, "x.csv"), os.path.join(tmp, "truth.csv")

@@ -171,9 +171,9 @@ def direct_variable_k(y, k, step, n1, parabolic):
 
 
 class TestShiftCombines:
-    """The combines sum bins 0..m/2 and mirror them (a per-bin K that is not
-    even sums bins 0..m/2 once more at its own counts): bit for bit the
-    sums over all m bins."""
+    """A single K or an even per-bin K is summed on bins 0..m/2 and mirrored,
+    any other per-bin K on all m bins: bit for bit the direct sums over
+    all m bins."""
 
     def transform(self, n, mult):
         grid = FrequencyGrid(2 * (n + 1) * mult)
@@ -225,12 +225,33 @@ class TestShiftCombines:
 
 class TestShiftCombinesInSmallBlocks(TestShiftCombines):
     """The same oracle with blocks of at most 5 bins, so that the sums of
-    bins 0..m/2, in both passes of a profile that is not even, cross
+    bins 0..m/2, and of all m bins for a profile that is not even, cross
     block edges."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_SHIFT_BLOCK", 5)
+
+
+def test_per_bin_combine_is_one_pass(monkeypatch):
+    """An even profile sums bins 0..m/2 and mirrors them, any other sums all
+    m bins: one call of the shift-sum primitive either way."""
+    n, draw = 16, np.random.default_rng(16)
+    grid = FrequencyGrid(4 * (n + 1))
+    y, step, m = dft(draw.standard_normal(n), grid), grid.shift_step(n), grid.m
+    bins, shift_sums = [], _kernels._shift_sums
+
+    def counted(y, step, k, g):
+        bins.append(k.shape[0])
+        return shift_sums(y, step, k, g)
+
+    monkeypatch.setattr(_kernels, "_shift_sums", counted)
+    even = _kernels._mirror(draw.integers(1, n + 1, size=m // 2 + 1), m)
+    uneven = even.copy()
+    uneven[1] = uneven[m - 1] % n + 1  # even but for bins 1 and m - 1
+    for prof in (even, uneven):
+        _kernels.variable_k_combine(y, prof, step, n + 1.0, False)
+    assert bins == [m // 2 + 1, m]
 
 
 def direct_ar(e, a):

@@ -12,7 +12,8 @@ one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
 0 = box, 1 = parabolic (Epanechnikov); weights are renormalized to sum
 to one, so constants pass through unchanged. Every transform in the
-package is the chirp-z :func:`_half_transform`, mirrored by :func:`_mirror`.
+package is the chirp-z :func:`_half_transform`, which works in one
+buffer per row and writes the conjugate half of a full grid into it.
 """
 
 import functools
@@ -276,45 +277,61 @@ def _chirp_plan(n, m):
     """Chirp w and transformed conjugate chirp for :func:`_half_transform`.
 
     w_s = exp(-i*pi*s^2/m), with s^2 reduced mod 2m exactly in int64. The
-    kernel conj(w_d), d = -n..m//2, lies circularly in one buffer of the
-    smallest 5-smooth length >= n + m//2 + 1, moved one place on so that
-    sample t = 1 can sit at index 0. Both arrays are read-only; together
-    they hold 16 * (max(n + 1, m//2 + 1) + length) bytes.
+    kernel conj(w_d), d = -n..m//2, lies circularly in one buffer of
+    the smallest 5-smooth length >= n + m//2 + 1, at index d + 1 so that
+    sample t = 1 can sit at index 0, and is transformed in place. Both
+    arrays are read-only; together they hold
+    16 * (max(n + 1, m//2 + 1) + length) bytes.
     """
     half = m // 2 + 1
     length = _smooth_length(n + half)
     s = np.arange(max(n + 1, half), dtype=np.int64)
     w = np.exp((-1j * np.pi / m) * ((s * s) % (2 * m)))
+    lag = np.arange(-n, half)
     kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:half] = w[:half].conj()
-    kernel[length - n :] = w[n:0:-1].conj()
-    kernel_hat = np.fft.fft(np.roll(kernel, 1))
+    kernel[lag + 1] = w[np.abs(lag)].conj()  # negative indices wrap round
+    np.fft.fft(kernel, out=kernel)
     w.flags.writeable = False
-    kernel_hat.flags.writeable = False
-    return w, kernel_hat
+    kernel.flags.writeable = False
+    return w, kernel
 
 
-def _half_transform(a, m):
+def _half_transform(a, m, hermitian=False):
     """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, for k = 0..m//2.
 
     A chirp-z (Bluestein) transform over the last axis: with
     t*k = (t^2 + k^2 - (k - t)^2)/2 the sum is w_k times the linear
     convolution of a_t w_t with conj(w), done by one forward and one
-    inverse FFT at a 5-smooth length, whatever the factors of m.
+    inverse FFT at a 5-smooth length L, whatever the factors of m. Each
+    row works in one zeroed buffer: a_t w_t is written into it, both FFTs
+    and both chirp products run in place, and the bins 0..m//2 are
+    returned as a view of it. With ``hermitian`` (a real a) the buffer
+    holds max(L, m) entries and the full grid of m bins is returned:
+    y(0) and y(1/2) are made real and bins m//2 + 1..m - 1 are written
+    as the conjugates y(-f) = conj y(f) in the same buffer.
     """
     n = a.shape[-1]
     w, kernel_hat = _chirp_plan(n, m)
-    z = np.fft.fft(a * w[1 : n + 1], kernel_hat.shape[0])
+    length, half = kernel_hat.shape[0], m // 2 + 1
+    size = max(length, m) if hermitian else length
+    buf = np.zeros(a.shape[:-1] + (size,), dtype=np.complex128)
+    z = buf[..., :length]
+    np.multiply(a, w[1 : n + 1], out=buf[..., :n])
+    np.fft.fft(z, out=z)
     z *= kernel_hat
-    z = np.fft.ifft(z)
-    return z[..., : m // 2 + 1] * w[: m // 2 + 1]
+    np.fft.ifft(z, out=z)
+    buf[..., :half] *= w[:half]
+    if not hermitian:
+        return buf[..., :half]
+    buf.imag[..., 0] = 0.0
+    if m % 2 == 0:
+        buf.imag[..., m // 2] = 0.0
+    # source bins m - half..1 lie below destination bins half..m - 1, so
+    # numpy writes the conjugates without a temporary copy
+    np.conjugate(buf[..., m - half : 0 : -1], out=buf[..., half:m])
+    return buf[..., :m]
 
 
 def _mirror(half, m):
-    """Full circular grid from bins 0..m//2 of an even or (if complex,
-    made real in place at bins 0 and m/2) Hermitian sequence."""
-    if np.iscomplexobj(half):
-        half.imag[..., 0] = 0.0
-        if m % 2 == 0:
-            half.imag[..., -1] = 0.0
-    return np.concatenate([half, half[..., m - half.shape[-1] : 0 : -1].conj()], axis=-1)
+    """Full circular grid from bins 0..m//2 of an even real sequence."""
+    return np.concatenate([half, half[..., m - half.shape[-1] : 0 : -1]], axis=-1)

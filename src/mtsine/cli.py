@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -95,10 +96,8 @@ def _read_series(path):
 
 
 def _sidecar(path, suffix):
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_{suffix}.csv"
-    return f"{stem}_{suffix}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{suffix}{ext or '.csv'}"
 
 
 def _half_grid(grid):

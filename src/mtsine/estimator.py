@@ -124,16 +124,17 @@ def dft(series, grid):
 
     The sample numbering matches the windows in :mod:`mtsine.tapers`.
     Bins 0..m//2 come from a chirp-z transform whose FFTs have a 5-smooth
-    length near n + m/2, so the factors of m (4*(2^p + 1) on the default
+    length L near n + m/2, so the factors of m (4*(2^p + 1) on the default
     grid at n = 2^p) do not set the cost; the other bins are their
     conjugates, y(-f) = conj y(f), and y(0) and y(1/2) are real. The
-    chirp plan for the last (n, m) is cached.
+    whole transform runs in one complex buffer of max(L, m) entries, and
+    y is its first m. The chirp plan for the last (n, m) is cached.
     """
     x = as_series(series)
     m = grid.m
     if m < x.shape[0]:
         raise ValueError(f"grid size {m} must be at least the series length")
-    return _kernels._mirror(_kernels._half_transform(x, m), m)
+    return _kernels._half_transform(x, m, hermitian=True)
 
 
 def multitaper_estimate(series, family, weights, grid=None):

@@ -236,7 +236,7 @@ def spectral_window(taper, grid=None):
         grid = window_grid(v.shape[0])
     if grid.m < v.shape[0]:
         raise ValueError(f"grid size {grid.m} must be at least the taper length")
-    return SpectralWindow(grid, _kernels._mirror(_kernels._half_transform(v, grid.m), grid.m))
+    return SpectralWindow(grid, _kernels._half_transform(v, grid.m, hermitian=True))
 
 
 def _dirichlet_ratio(g, n):

@@ -200,7 +200,7 @@ class TestStandardOutput:
 
 class TestSidecarNames:
     """An --out path without an extension gets companions named
-    ``<path>_<suffix>.csv``."""
+    ``<path>_<suffix>.csv``; a dot in a directory name is not an extension."""
 
     def test_adaptive(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -213,6 +213,20 @@ class TestSidecarNames:
         monkeypatch.chdir(tmp_path)
         assert run(["tapers", "--family", "sine", "--n", "16", "--k", "3", "--out", "t"]) == 0
         assert sorted(os.listdir(tmp_path)) == ["t", "t_bias.csv", "t_window.csv"]
+
+    def test_adaptive_in_dotted_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("run.v2")
+        assert run(["synth", "--model", "white", "--n", "64", "--out", "x.csv"]) == 0
+        assert run(["adaptive", "--input", "x.csv", "--out", "run.v2/est"]) == 0
+        assert sorted(os.listdir("run.v2")) == ["est", "est_profile.csv"]
+
+    def test_tapers_in_dotted_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("run.v2")
+        argv = ["tapers", "--family", "sine", "--n", "16", "--k", "3", "--out", "run.v2/t"]
+        assert run(argv) == 0
+        assert sorted(os.listdir("run.v2")) == ["t", "t_bias.csv", "t_window.csv"]
 
 
 class TestDeterminism:

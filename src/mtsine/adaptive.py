@@ -5,10 +5,10 @@ The log of a K-taper estimate of white noise is biased by
 log estimate here subtracts that constant, and only that constant, at
 each bin's K. Smoothing the corrected log estimate with a halfwidth
 matched to the local curvature of the log spectrum gives the two-stage
-estimators: either the kernel halfwidth or the taper count itself varies
-with frequency. The bias law, the log estimate and its correction are
-each written once, array-native, for one K or a per-bin K(f) alike, and
-the variable-K stage is that estimate at its K profile.
+estimators: the kernel halfwidth or the taper count varies with frequency
+as the pilot's log derivatives theta' and theta'' say. The bias law, the
+log estimate and its correction are written once for one K or a per-bin
+K(f) alike, and the variable-K stage is that estimate at its K profile.
 """
 
 from dataclasses import dataclass, field
@@ -212,8 +212,8 @@ _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives
 
 
 def _pilot_derivatives(series, config, grid):
-    """Pilot log estimate on the whole grid; its smoothed version and two
-    grid derivatives at bins 0..m/2.
+    """Pilot log estimate on the whole grid, and the first and second grid
+    derivatives of its smooth at bins 0..m/2.
 
     The smooth is even, so the differences read it mirrored past 0 and
     m/2. The pilot needs at least ``2 * pilot_k`` samples.
@@ -239,7 +239,7 @@ def _pilot_derivatives(series, config, grid):
     up, dn, h = ext[2 * d :], ext[:half], d / grid.m
     th1 = (up - dn) / (2.0 * h)
     th2 = (up - 2.0 * smooth + dn) / (h * h)
-    return theta, smooth, th1, th2
+    return theta, th1, th2
 
 
 def curvature_pilot(series, config, grid=None):
@@ -252,7 +252,7 @@ def curvature_pilot(series, config, grid=None):
     x = as_series(series)
     if grid is None:
         grid = default_grid(x.shape[0])
-    _, _, _, th2 = _pilot_derivatives(x, config, grid)
+    _, _, th2 = _pilot_derivatives(x, config, grid)
     return CurvatureProfile(grid, _kernels._mirror(th2, grid.m))
 
 
@@ -262,42 +262,43 @@ _MEDIAN_BLOCK = 1 << 20
 
 def _circular_median(values, width, count=None):
     """Median over the circular window of odd ``width`` centred at each of
-    bins 0..count-1 (every bin by default).
+    bins 0..count-1 (every bin by default): the middle rank of NaN-free
+    ``values``, in their dtype.
 
-    ``np.median`` copies the windows it reads, so they are taken a block
-    of about ``_MEDIAN_BLOCK`` elements at a time rather than all
-    count * width.
+    ``np.partition`` copies the windows it reads, so they are taken a
+    block of about ``_MEDIAN_BLOCK`` elements at a time, not count * width.
     """
     half = width // 2
     count = values.shape[0] if count is None else count
     ext = values.take(np.arange(-half, count + half), mode="wrap")
     windows = np.lib.stride_tricks.sliding_window_view(ext, width)
     rows = max(1, _MEDIAN_BLOCK // width)
-    return np.concatenate(
-        [np.median(windows[i : i + rows], axis=1) for i in range(0, len(windows), rows)]
-    )
+    # filled block by block: a list of the [:, half] views would keep every block alive
+    out = np.empty(count, dtype=values.dtype)
+    for i in range(0, count, rows):
+        out[i : i + rows] = np.partition(windows[i : i + rows], half, axis=1)[:, half]
+    return out
 
 
 def _smooth_k_profile(k_raw, config, grid, n):
-    """Moving median over twice the pilot halfwidth, then re-clamp, at
-    bins 0..m/2 of the circular ``k_raw``."""
+    """Moving median over twice the pilot halfwidth at bins 0..m/2 of the
+    circular ``k_raw``; an odd window's median is one of its counts."""
     width = int(round(config.pilot_k * grid.m / n))
     width = max(3, width + (width + 1) % 2)
-    prof = _circular_median(k_raw, width, grid.m // 2 + 1).astype(np.int64)
-    return np.clip(prof, config.k_min, config.k_max)
+    return _circular_median(k_raw, width, grid.m // 2 + 1)
 
 
 def two_stage_log_estimate(series, config=None, grid=None):
     """Plug-in log-spectrum estimate with curvature-matched bandwidth.
 
-    Stage one estimates the log spectrum and its curvature with
-    ``pilot_k`` tapers. Stage two either recomputes the estimate with a
-    per-bin taper count chosen by the optimal-count rule and smoothed by
-    a moving median (mode ``"variable_k"``), or smooths the pilot log
-    estimate with the per-bin error-minimizing halfwidth realized to
-    whole grid bins (mode ``"variable_w"``). Either profile, and the
-    smoothed values, are decided on bins 0..m/2 and mirrored to the rest,
-    so the estimate is exactly even in f.
+    Stage one estimates the log spectrum theta and its derivatives with
+    ``pilot_k`` tapers. Stage two either recomputes the estimate with the
+    per-bin taper count K = (12 n^2/|theta'' + theta'^2|)^(2/5), smoothed
+    by an integer moving median (mode ``"variable_k"``), or smooths the
+    pilot log estimate with the per-bin error-minimizing halfwidth
+    realized to whole grid bins (mode ``"variable_w"``). Either profile,
+    and the smoothed values, are decided on bins 0..m/2 and mirrored to
+    the rest, so the estimate is exactly even in f.
     """
     x = as_series(series)
     n = x.shape[0]
@@ -307,7 +308,7 @@ def two_stage_log_estimate(series, config=None, grid=None):
         raise ValueError(f"k_max={config.k_max} exceeds series length {n}")
     if grid is None:
         grid = default_grid(n)
-    theta, theta_s, th1, th2 = _pilot_derivatives(x, config, grid)
+    theta, th1, th2 = _pilot_derivatives(x, config, grid)
 
     if config.mode == "variable_w":
         halfwidths = w_opt(th2, n, config.pilot_k, config.kernel, grid_m=grid.m)
@@ -322,9 +323,7 @@ def two_stage_log_estimate(series, config=None, grid=None):
             w_used=_kernels._mirror(bins, grid.m) / grid.m,
         )
 
-    # variable_k: optimal count from the pilot level and curvature
-    level = np.exp(theta_s)
-    curv = (th2 + th1 * th1) * level
-    k_raw = k_opt(level, curv, n, config.k_min, config.k_max)
+    # variable_k: the rule needs only S''/S = theta'' + theta'^2, so the level is 1
+    k_raw = k_opt(1.0, th2 + th1 * th1, n, config.k_min, config.k_max)
     k_prof = _smooth_k_profile(_kernels._mirror(k_raw, grid.m), config, grid, n)
     return log_multitaper(x, _kernels._mirror(k_prof, grid.m), grid)

@@ -169,8 +169,8 @@ def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
     """Sinusoidal multitaper estimate from one zero-padded transform.
 
     ``k`` is one taper count or one count per grid bin (an array of shape
-    ``(grid.m,)``), each a whole number in [1, n]; a fractional K raises
-    ``ValueError``. ``weights`` is None (uniform), a kind name
+    ``(grid.m,)``), each a whole number in [1, n]; a fractional K or a
+    string raises ``ValueError``. ``weights`` is None (uniform), a kind name
     (``"uniform"`` or ``"parabolic"``) or, for a single K only, any
     :class:`WeightScheme`. A per-bin K averages each bin's own K shifted
     differences with that kind's weights renormalized to sum to one, so a
@@ -184,15 +184,15 @@ def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
     if grid is None:
         grid = default_grid(n)
     per_bin = np.ndim(k) > 0
-    k_real = np.asarray(k, dtype=np.float64)
-    if per_bin and k_real.shape != (grid.m,):
+    k_array = np.asarray(k)
+    if per_bin and k_array.shape != (grid.m,):
         raise ValueError("a per-bin K must have one entry per grid bin")
-    if not np.all(k_real == np.floor(k_real)):
+    if k_array.dtype.kind not in "biuf" or not np.all(k_array == np.floor(k_array)):
         raise ValueError("a taper count K must be a whole number")
-    lo, hi = k_real.min(), k_real.max()
+    lo, hi = k_array.min(), k_array.max()
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"need 1 <= K <= n, got K in [{lo:g}, {hi:g}], n={n}")
-    k = k_real.astype(np.int64) if per_bin else int(k_real)
+    k = k_array.astype(np.int64) if per_bin else int(k_array)
     if weights is None:
         weights = "uniform"
     if per_bin:

@@ -464,15 +464,15 @@ class TestCircularMedianProperties:
                 mp.setattr(adaptive, "_MEDIAN_BLOCK", budget)
             got = adaptive._circular_median(v, width, count)
         assert np.array_equal(got, sliding_median(v, width, count))
+        assert got.dtype == v.dtype
 
 
 class TestKProfileMemory:
     @pytest.mark.parametrize("n", [2**13, 2**15])
     def test_peak_is_bounded_by_the_median_budget(self, n):
         """The K-profile median copies at most ``_MEDIAN_BLOCK`` window
-        elements at a time, beside four arrays of m/2 + 1 (the circular
-        extension, the medians, their whole-number copy and the clipped
-        profile).
+        elements at a time, beside two arrays of m/2 + 1 (the circular
+        extension and the integer profile).
 
         At the default config's widths, 493 at 2^13 and 1,025 at 2^15, all
         windows taken at once would copy 65 MB and 537 MB, against bounds

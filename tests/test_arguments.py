@@ -158,6 +158,12 @@ REFUSALS = {
     "multitaper_estimate: grid with m < 2n": (
         lambda: multitaper_estimate(np.ones(4), SINE4, UNIFORM2, FrequencyGrid(7)),
         ValueError, "estimation grid must have m >= 2n, got m=7"),
+    "sinusoidal_estimate_fast: K that is a string": (
+        lambda: sinusoidal_estimate_fast(np.ones(4), "4"),
+        ValueError, "a taper count K must be a whole number"),
+    "sinusoidal_estimate_fast: per-bin K of strings": (
+        lambda: sinusoidal_estimate_fast(np.ones(4), np.full(default_grid(4).m, "4")),
+        ValueError, "a taper count K must be a whole number"),
     "sinusoidal_estimate_fast: weight count other than K": (
         lambda: sinusoidal_estimate_fast(np.ones(4), 3, UNIFORM2),
         ValueError, "2 weights for K=3 tapers"),

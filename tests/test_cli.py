@@ -3,7 +3,10 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import example, given, settings
@@ -608,6 +611,42 @@ class TestOneProcess:
         for name in names:
             assert (kept / name).read_bytes() == (fresh / name).read_bytes(), name
         assert len(read_csv(kept / "t.csv")[1]) == 5  # bins 0..4 of m = 9
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(argv, cwd):
+    """``python -m mtsine argv`` in a fresh process that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mtsine", *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoint:
+    """``python -m mtsine`` exits with the code ``main`` returns."""
+
+    def test_synth_exits_zero_and_writes(self, tmp_path):
+        done = run_module(["synth", "--model", "white", "--n", "16", "--seed", "1",
+                           "--out", "x.csv"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert np.loadtxt(tmp_path / "x.csv").shape == (16,)
+
+    @pytest.mark.parametrize("argv", [["--k", "4"], ["--input", "nope.csv", "--k", "4"]],
+                             ids=["omitted", "nonexistent"])
+    def test_missing_input_exits_two(self, tmp_path, argv):
+        done = run_module(["estimate", *argv], tmp_path)
+        assert done.returncode == 2
+        assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_overflowing_estimate_exits_three(self, tmp_path):
+        (tmp_path / "x.csv").write_text("1e200\n" * 64)
+        done = run_module(["estimate", "--input", "x.csv", "--k", "4", "--out", "e.csv"],
+                          tmp_path)
+        assert done.returncode == 3
+        assert done.stderr.startswith("numerical failure:") and "Traceback" not in done.stderr
+        assert not (tmp_path / "e.csv").exists()
 
 
 @st.composite

@@ -32,8 +32,9 @@ class TestSinusoidalTaper:
         assert sinusoidal_taper(1, 1).values[0] == pytest.approx(1.0)
 
     def test_three_point_closed_form(self):
-        v = sinusoidal_taper(3, 2).values
-        assert v == pytest.approx([0.7071067811865476, 0.0, -0.7071067811865476])
+        taper = sinusoidal_taper(3, 2)
+        assert taper.n == 3
+        assert taper.values == pytest.approx([0.7071067811865476, 0.0, -0.7071067811865476])
 
     def test_full_family_orthonormal(self):
         fam = sinusoidal_family(50, 50)

@@ -9,36 +9,17 @@ inside), behind :func:`combine_shifts` (one taper count, any weights)
 and :func:`variable_k_combine` (one taper count per bin).
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
-(one halfwidth) and :func:`smooth_variable` (one per bin). Kernel ids:
-0 = box, 1 = parabolic (Epanechnikov); weights are renormalized to sum
-to one, so constants pass through unchanged. Every transform in the
-package is the chirp-z :func:`_half_transform`, which works in one
-buffer per row and writes the conjugate half of a full grid into it.
+(one halfwidth) and :func:`smooth_variable` (one per bin). Its one weight
+rule is the parabolic (Epanechnikov) profile, and the box kernel is that
+profile at infinite scale; weights are renormalized to sum to one, so
+constants pass through unchanged. Every transform in the package is the
+chirp-z :func:`_half_transform`, which works in one buffer per row and
+writes the conjugate half of a full grid into it.
 """
 
 import functools
 
 import numpy as np
-
-__all__ = [
-    "combine_shifts",
-    "variable_k_combine",
-    "window_average",
-    "smooth_circular",
-    "smooth_variable",
-    "ar_recurse",
-]
-
-KERNEL_BOX = 0
-KERNEL_PARABOLIC = 1
-
-
-def _c128(a):
-    return np.ascontiguousarray(a, dtype=np.complex128)
-
-
-def _f64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +100,8 @@ def combine_shifts(y, weights, step):
     len(weights). The sums are even, so bins 0..m/2 are summed and
     mirrored once.
     """
-    weights, y = _f64(weights), _c128(y)
     k = np.broadcast_to(weights.shape[0], (y.shape[0] // 2 + 1,))
-    return _mirror(_shift_sums(y, int(step), k, weights[None, :])[0], y.shape[0])
+    return _mirror(_shift_sums(y, step, k, weights[None, :])[0], y.shape[0])
 
 
 def _parabolic_norm(k):
@@ -145,7 +125,7 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
     k = k[: m // 2 + 1] if even else k
     j = np.arange(1.0, k.max() + 1.0)
     g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
-    sums = _shift_sums(_c128(y), int(step), k, g)
+    sums = _shift_sums(y, step, k, g)
     est = sums[0] / (2.0 * n1 * k)
     if parabolic:
         sel = k > 1
@@ -160,8 +140,8 @@ def ar_recurse(innovations, coeffs):
     """Autoregressive recursion x[i] = e[i] + sum_p a_p x[i-1-p]."""
     # on Python floats: the same IEEE operations in the same order as on
     # numpy scalars, at half the cost per sample
-    e = _f64(innovations).tolist()
-    a = _f64(coeffs).tolist()
+    e = innovations.tolist()
+    a = coeffs.tolist()
     x = []
     for i, acc in enumerate(e):
         for q in range(min(len(a), i)):
@@ -174,21 +154,28 @@ def ar_recurse(innovations, coeffs):
 # smoothing: one numpy path for fixed and per-bin halfwidths
 # ---------------------------------------------------------------------------
 
-def window_average(values, half_bins, scale, kernel_id):
+def window_average(values, half_bins, scale):
     """Circular weighted average over a window of its own width at each bin.
 
     ``out[i] = sum_j w_ij v[(i + j) % m] / sum_j w_ij`` for
-    ``|j| <= h_i = half_bins[i]``, with ``w_ij = 1`` (box) or
-    ``1 - (j / s_i)^2`` (parabolic), ``s_i`` from ``scale`` (scalar or per bin),
-    at bins i < len(half_bins) of the m circular ``values`` (0..m/2 of an even
-    estimate, which the caller mirrors).
+    ``|j| <= h_i = half_bins[i]``, with the one weight rule
+    ``w_ij = 1 - (j / s_i)^2``, ``s_i`` from ``scale`` (scalar or per bin),
+    at bins i < len(half_bins) of the m float64 ``values`` (0..m/2 of an
+    even estimate, which the caller mirrors). The box kernel is
+    ``s_i = inf``: its second-moment term and its norm's correction are
+    then exactly 0, so it is the plain window mean.
 
     Window sums of v, c*v and c^2*v come from cumulative sums along short
     rows about each row's centre, never about a global origin, whose
     cancellation would lose digits. Bins with h in [2^k, 2^(k+1)) use rows
     of 4 * 2^k bins: a window lies in at most two rows, and moments shift
-    by less than about 3h. Only rows that some window reaches are summed:
-    O(m) work for a smooth halfwidth profile, O(m log m) at worst.
+    by less than about 3h. The offsets c and the shift, and the scale they
+    are divided by, are counted in units of the row's size: a power of two,
+    so every bit is the same as in bins (for normal values), and with
+    offsets below 3/2 the moments stay within a few times v's own window
+    sums, so they overflow only near where those do. Only rows that some
+    window reaches are summed: O(m) work for a smooth halfwidth profile,
+    O(m log m) at worst.
     """
     count = half_bins.shape[0]
     if half_bins.min() < 1:
@@ -210,46 +197,46 @@ def window_average(values, half_bins, scale, kernel_id):
         first = (np.cumsum(used)[row] - 1) * (size + 1)
         hi = np.minimum(lo + width, size)
         # prefix positions in `acc` (rows of size + 1, column 0 zero) and the
-        # offset of each row's centre from the window's bin
+        # offset of each row's centre from the window's bin, in row sizes
         start = np.stack([first + lo, first + size + 1])
         stop = np.stack([first + hi, start[1] + lo + width - hi])
-        shift = size // 2 - h - lo + np.array([[0], [size]])
+        shift = (size // 2 - h - lo + np.array([[0], [size]])) / size
         seg = values.take(rows[:, None] * size + np.arange(size) - size, mode="wrap")
-        col = np.arange(size) - size / 2.0
+        col = np.arange(size) / size - 0.5
         acc = np.zeros((rows.size, size + 1))
         flat, sums = acc.ravel(), []
-        for p in range(1 if kernel_id == KERNEL_BOX else 3):
+        for p in range(3):
             np.multiply(seg, col**p, out=acc[:, 1:])
             np.cumsum(acc[:, 1:], axis=1, out=acc[:, 1:])
             sums.append(flat[stop] - flat[start])
         s0 = sums[0].sum(axis=0)
-        if kernel_id == KERNEL_BOX:
-            out[bins] = s0 / width
-            continue
         s2 = (sums[2] + shift * (2.0 * sums[1] + shift * sums[0])).sum(axis=0)
         s = scale[bins]
+        u = s / size
         norm = width - h * (h + 1.0) * width / (3.0 * s * s)
-        out[bins] = (s0 - s2 / (s * s)) / norm
+        out[bins] = (s0 - s2 / (u * u)) / norm
     return out
 
 
-def smooth_circular(values, scale, kernel_id, count=None):
+def smooth_circular(values, scale, parabolic, count=None):
     """Smooth bins 0..count-1 (every bin by default) with one halfwidth:
-    the kernel stretched over ``scale`` bins.
+    the parabolic kernel stretched over ``scale`` bins, or with a false
+    ``parabolic`` the box kernel.
 
     ``scale`` need not be whole; the window covers ``floor(scale)`` bins
     on each side.
     """
-    values = _f64(values)
     count = values.shape[0] if count is None else count
     half = np.full(count, np.floor(scale), dtype=np.int64)
-    return window_average(values, half, float(scale), int(kernel_id))
+    return window_average(values, half, scale if parabolic else np.inf)
 
 
-def smooth_variable(values, half_bins, kernel_id):
-    """Smooth bins i < len(half_bins) with ``half_bins[i]`` whole bins on each side."""
+def smooth_variable(values, half_bins, parabolic):
+    """Smooth bins i < len(half_bins) with ``half_bins[i]`` whole bins on
+    each side, with the parabolic kernel or, with a false ``parabolic``,
+    the box kernel."""
     half_bins = np.ascontiguousarray(half_bins, dtype=np.int64)
-    return window_average(_f64(values), half_bins, half_bins, int(kernel_id))
+    return window_average(values, half_bins, half_bins if parabolic else np.inf)
 
 
 # ---------------------------------------------------------------------------

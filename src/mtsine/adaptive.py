@@ -26,29 +26,29 @@ from .grid import FrequencyGrid, _count, _halfwidth, _own_array, default_grid
 class KernelSpec:
     """Symmetric unit-mass smoothing kernel on [-1, 1].
 
-    ``bias_const`` is half the kernel's second moment (the leading bias
-    of a smoother of halfwidth w is bias_const * w^2 times the local
-    second derivative) and ``var_const`` is the integral of the squared
-    profile. Both were computed from those definitions by numeric
-    integration and are frozen here.
+    ``parabolic`` picks the profile: 3/4 (1 - u^2) (Epanechnikov), or
+    when false the box 1/2, which the smoothers realize as the parabolic
+    weight at infinite scale. ``bias_const`` is half the kernel's second
+    moment (the leading bias of a smoother of halfwidth w is
+    bias_const * w^2 times the local second derivative) and ``var_const``
+    is the integral of the squared profile. Both were computed from those
+    definitions by numeric integration and are frozen here.
     """
 
     name: str
-    kernel_id: int
+    parabolic: bool
     bias_const: float
     var_const: float
 
     def profile(self, u):
         u = np.asarray(u, dtype=np.float64)
-        if self.kernel_id == _kernels.KERNEL_BOX:
+        if not self.parabolic:
             return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-BOX = KernelSpec("box", _kernels.KERNEL_BOX, bias_const=1.0 / 6.0, var_const=0.5)
-EPANECHNIKOV = KernelSpec(
-    "parabolic", _kernels.KERNEL_PARABOLIC, bias_const=0.1, var_const=0.6
-)
+BOX = KernelSpec("box", False, bias_const=1.0 / 6.0, var_const=0.5)
+EPANECHNIKOV = KernelSpec("parabolic", True, bias_const=0.1, var_const=0.6)
 
 _KERNELS = {"box": BOX, "parabolic": EPANECHNIKOV, "epanechnikov": EPANECHNIKOV}
 
@@ -116,7 +116,8 @@ def kernel_smooth(values, kernel, w, grid):
     """
     if np.shape(values) != (grid.m,):
         raise ValueError("values must have one entry per grid bin")
-    return _kernels.smooth_circular(values, _halfwidth(w) * grid.m, kernel.kernel_id)
+    values = np.asarray(values, dtype=np.float64)
+    return _kernels.smooth_circular(values, _halfwidth(w) * grid.m, kernel.parabolic)
 
 
 def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
@@ -233,7 +234,7 @@ def _pilot_derivatives(series, config, grid):
         theta = np.where(np.isfinite(theta), theta, finite.min())
     half, d = grid.m // 2 + 1, _DIFF_STEP_BINS
     smooth = _kernels.smooth_circular(
-        theta, config.curvature_halfwidth * grid.m, config.kernel.kernel_id, half
+        theta, config.curvature_halfwidth * grid.m, config.kernel.parabolic, half
     )
     ext = _kernels._mirror(smooth, grid.m).take(np.arange(-d, half + d), mode="wrap")
     up, dn, h = ext[2 * d :], ext[:half], d / grid.m
@@ -313,7 +314,7 @@ def two_stage_log_estimate(series, config=None, grid=None):
     if config.mode == "variable_w":
         halfwidths = w_opt(th2, n, config.pilot_k, config.kernel, grid_m=grid.m)
         bins = np.clip(np.rint(halfwidths * grid.m), 1, grid.m // 4).astype(np.int64)
-        smoothed = _kernels.smooth_variable(theta, bins, config.kernel.kernel_id)
+        smoothed = _kernels.smooth_variable(theta, bins, config.kernel.parabolic)
         return SpectralEstimate(
             grid,
             _kernels._mirror(smoothed, grid.m),

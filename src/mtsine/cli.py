@@ -365,12 +365,13 @@ def main(argv=None):
     try:
         # looked up at call time, so a wrapper set on cli.cmd_* later still runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except (ValueError, OSError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except MemoryError as exc:
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import BOX, EPANECHNIKOV
+from .adaptive import EPANECHNIKOV
 from .grid import _count, _halfwidth, _own_array
 from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
@@ -89,7 +89,7 @@ def kernel_transfer(kernel, w, lag):
     lag = np.asarray(lag, dtype=np.float64)
     scalar = lag.ndim == 0
     m = np.atleast_1d(lag)
-    if kernel.kernel_id == BOX.kernel_id:
+    if not kernel.parabolic:
         out = np.sinc(2.0 * w * m)
     else:
         a = 2.0 * np.pi * w * m

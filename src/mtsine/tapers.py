@@ -133,7 +133,7 @@ def _eigh(matrix, what):
     """Eigendecomposition of the symmetric ``matrix``; a failure names ``what``."""
     try:
         return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition of the {what} failed: {exc}"
         ) from exc

@@ -596,6 +596,27 @@ class TestTwoStage:
         self.assert_exactly_even(est.values)
         self.assert_exactly_even(est.k_used)
 
+    def test_box_variable_w_is_the_window_mean_of_the_pilot(self):
+        x = generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=26), 2048)
+        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, mode="variable_w", kernel=BOX)
+        est = two_stage_log_estimate(x, cfg)
+        m = est.grid.m
+        theta = log_multitaper(x, cfg.pilot_k, grid=est.grid).values
+        half = np.rint(est.w_used * m).astype(np.int64)
+        assert np.unique(half).size > 1
+        for i in np.random.default_rng(26).choice(m, 64, replace=False):
+            window = theta[np.arange(i - half[i], i + half[i] + 1) % m]
+            assert abs(est.values[i] - window.mean()) <= 1e-12 * np.max(np.abs(theta))
+        self.assert_exactly_even(est.values)
+
+    def test_box_variable_k_profile(self):
+        x = generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=27), 2048)
+        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, kernel=BOX)
+        est = two_stage_log_estimate(x, cfg)
+        assert cfg.k_min <= est.k_used.min() < est.k_used.max() <= cfg.k_max
+        self.assert_exactly_even(est.k_used)
+        assert np.array_equal(est.values, log_multitaper(x, est.k_used, est.grid).values)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(pilot_k=4, k_min=8, k_max=64)

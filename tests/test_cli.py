@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from mtsine import (
+    BOX,
     AdaptiveConfig,
     ProcessSpec,
     cli,
@@ -168,6 +170,22 @@ class TestExitCodes:
         assert run(["adaptive", "--input", series, "--k-max", "65", "--out", out]) == 2
         assert "k_max=65 exceeds series length 64" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,what", [
+        (["tapers", "--family", "mb", "--n", "40", "--k", "4"], "40x40 local-bias matrix"),
+        (["tapers", "--family", "slepian", "--n", "40", "--k", "4", "--w", "0.05"],
+         "order-40 Slepian tridiagonal operator"),
+        (["tables", "--which", "4", "--n", "40"], "order-40 estimator"),
+    ], ids=["mb", "slepian", "table4"])
+    def test_failed_eigensolve_exits_three(self, tmp_path, capsys, monkeypatch, argv, what):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run(argv + ["--out", tmp_path / "out.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: eigendecomposition of the {what} failed")
+        assert os.listdir(tmp_path) == []
 
     def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
@@ -348,6 +366,18 @@ class TestCsvFormat:
             assert_int_cells([r[1] for r in prows], est.k_used[idx])
         else:
             assert_float_cells([r[1] for r in prows], est.w_used[idx])
+
+    @pytest.mark.parametrize("mode", ["variable_k", "variable_w"])
+    def test_adaptive_box_kernel(self, series, tmp_path, mode):
+        path, _ = series
+        out = tmp_path / "ad.csv"
+        assert run(["adaptive", "--input", path, "--mode", mode, "--kernel", "box",
+                    "--out", out]) == 0
+        config = dataclasses.replace(AdaptiveConfig.default_for(self.n, mode=mode), kernel=BOX)
+        est = two_stage_log_estimate(np.loadtxt(path), config, default_grid(self.n))
+        idx, _ = self.half_grid()
+        assert_float_cells(list(zip(*read_csv(out)[1]))[1], est.values[idx])
+        assert len(read_csv(tmp_path / "ad_profile.csv")[1]) == idx.size
 
     def test_tapers_and_sidecars(self, tmp_path):
         n, k = 40, 3

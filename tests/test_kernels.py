@@ -21,67 +21,67 @@ from mtsine import FrequencyGrid, _kernels, dft, make_weights
 rng = np.random.default_rng(91)
 
 
-def direct_average(values, half_bins, scale, kernel_id):
+def direct_average(values, half_bins, scale, parabolic):
     """O(m*h) reference: each bin's weighted window sum written out."""
     m = values.shape[0]
     scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), (m,))
     out = np.empty(m)
     for i in range(m):
         j = np.arange(-half_bins[i], half_bins[i] + 1)
-        w = np.ones(j.size) if kernel_id == 0 else 1.0 - (j / scale[i]) ** 2
+        w = 1.0 - (j / scale[i]) ** 2 if parabolic else np.ones(j.size)
         out[i] = w @ values[(i + j) % m] / w.sum()
     return out
 
 
-def assert_close_to_direct(got, values, half_bins, scale, kernel_id):
-    ref = direct_average(values, half_bins, scale, kernel_id)
+def assert_close_to_direct(got, values, half_bins, scale, parabolic):
+    ref = direct_average(values, half_bins, scale, parabolic)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(values))
 
 
 class TestSmoother:
-    @pytest.mark.parametrize("kernel_id", [0, 1])
+    @pytest.mark.parametrize("parabolic", [0, 1])
     @pytest.mark.parametrize("m", [4100, 4101])
-    def test_random_halfwidths(self, m, kernel_id):
+    def test_random_halfwidths(self, m, parabolic):
         # the offset makes the cancellation of sums about a global origin show
         v = rng.standard_normal(m) - 5.0
         half = rng.integers(1, m // 4 + 1, size=m)
-        got = _kernels.smooth_variable(v, half, kernel_id)
-        assert_close_to_direct(got, v, half, half, kernel_id)
+        got = _kernels.smooth_variable(v, half, parabolic)
+        assert_close_to_direct(got, v, half, half, parabolic)
 
-    @pytest.mark.parametrize("kernel_id", [0, 1])
+    @pytest.mark.parametrize("parabolic", [0, 1])
     @pytest.mark.parametrize("m,scale", [(2050, 102.7), (2051, 1.5), (517, 258.5)])
-    def test_fixed_halfwidth_with_fractional_scale(self, m, scale, kernel_id):
+    def test_fixed_halfwidth_with_fractional_scale(self, m, scale, parabolic):
         v = rng.standard_normal(m) + 2.0
-        got = _kernels.smooth_circular(v, scale, kernel_id)
+        got = _kernels.smooth_circular(v, scale, parabolic)
         half = np.full(m, int(np.floor(scale)))
-        assert_close_to_direct(got, v, half, scale, kernel_id)
+        assert_close_to_direct(got, v, half, scale, parabolic)
         # the first bins alone, as the pilot smooths bins 0..m/2, bit for bit
         for count in (m // 2 + 1, 1):
-            assert np.array_equal(_kernels.smooth_circular(v, scale, kernel_id, count),
+            assert np.array_equal(_kernels.smooth_circular(v, scale, parabolic, count),
                                   got[:count])
 
-    @pytest.mark.parametrize("kernel_id", [0, 1])
+    @pytest.mark.parametrize("parabolic", [0, 1])
     @pytest.mark.parametrize("m", [96, 97])
-    def test_windows_wrap_past_both_ends(self, m, kernel_id):
+    def test_windows_wrap_past_both_ends(self, m, parabolic):
         # wide windows at the first and last bins, narrow ones between
         v = rng.standard_normal(m)
         half = np.full(m, 2)
         half[:3] = half[-3:] = [m // 2, m // 3, 7]
-        got = _kernels.smooth_variable(v, half, kernel_id)
-        assert_close_to_direct(got, v, half, half, kernel_id)
+        got = _kernels.smooth_variable(v, half, parabolic)
+        assert_close_to_direct(got, v, half, half, parabolic)
 
-    @pytest.mark.parametrize("kernel_id", [0, 1])
+    @pytest.mark.parametrize("parabolic", [0, 1])
     @pytest.mark.parametrize("m", [4100, 4101])
-    def test_first_bins_only(self, m, kernel_id):
+    def test_first_bins_only(self, m, parabolic):
         # bins 0..m/2, as the variable-w estimate smooths them, and three
         # bins whose windows, wider than m/3, wrap past both ends
         v = rng.standard_normal(m) - 5.0
         half = rng.integers(1, m // 4 + 1, size=m)
         half[:3] = [m // 2, m // 3 + 1, m // 3 + 2]
-        full = _kernels.smooth_variable(v, half, kernel_id)
-        ref = direct_average(v, half, half, kernel_id)
+        full = _kernels.smooth_variable(v, half, parabolic)
+        ref = direct_average(v, half, half, parabolic)
         for count in (m // 2 + 1, 3):
-            got = _kernels.smooth_variable(v, half[:count], kernel_id)
+            got = _kernels.smooth_variable(v, half[:count], parabolic)
             assert got.shape == (count,)
             assert np.array_equal(got, full[:count])
             assert np.max(np.abs(got - ref[:count])) <= 1e-12 * np.max(np.abs(v))
@@ -93,6 +93,20 @@ class TestSmoother:
         expect = np.zeros(50)
         expect[[47, 48, 49, 0, 1, 2, 3]] = 1.0 / 7.0
         assert np.max(np.abs(got - expect)) < 1e-15
+
+    @pytest.mark.parametrize("parabolic", [0, 1])
+    @pytest.mark.parametrize("m", [97, 4100, 32772])
+    def test_commutes_with_a_huge_scale(self, m, parabolic):
+        # moments in units of the row size: a power of two moves no bit, and
+        # c^2 * v stays as far from overflow as v (filterwarnings is "error")
+        big = 2.0**1000
+        v = rng.standard_normal(m)
+        for scale in (0.1 * m, 0.5 * m):
+            got = _kernels.smooth_circular(v * big, scale, parabolic)
+            assert np.array_equal(got, _kernels.smooth_circular(v, scale, parabolic) * big)
+        half = rng.integers(1, m // 4 + 1, size=m)
+        got = _kernels.smooth_variable(v * big, half, parabolic)
+        assert np.array_equal(got, _kernels.smooth_variable(v, half, parabolic) * big)
 
     def test_rejects_subgrid_halfwidth(self):
         with pytest.raises(ValueError, match="at least one grid bin"):
@@ -119,17 +133,17 @@ def signals_and_halfwidths(draw):
     st.integers(1, 80),
     st.sampled_from([0, 1]),
 )
-def test_constants_pass_through(m, level, half, kernel_id):
-    out = _kernels.smooth_variable(np.full(m, level), np.full(m, half), kernel_id)
+def test_constants_pass_through(m, level, half, parabolic):
+    out = _kernels.smooth_variable(np.full(m, level), np.full(m, half), parabolic)
     assert np.max(np.abs(out - level)) <= 1e-12 * abs(level)
 
 
 @settings(max_examples=60, deadline=None)
 @given(signals_and_halfwidths(), st.sampled_from([0, 1]))
-def test_variable_halfwidths_match_direct_sum(data, kernel_id):
+def test_variable_halfwidths_match_direct_sum(data, parabolic):
     values, half = data
-    got = _kernels.smooth_variable(values, half, kernel_id)
-    assert_close_to_direct(got, values, half, half, kernel_id)
+    got = _kernels.smooth_variable(values, half, parabolic)
+    assert_close_to_direct(got, values, half, half, parabolic)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,10 +152,10 @@ def test_variable_halfwidths_match_direct_sum(data, kernel_id):
     st.floats(1.0, 40.0),
     st.sampled_from([0, 1]),
 )
-def test_fixed_scale_matches_direct_sum(values, scale, kernel_id):
-    got = _kernels.smooth_circular(values, scale, kernel_id)
+def test_fixed_scale_matches_direct_sum(values, scale, parabolic):
+    got = _kernels.smooth_circular(values, scale, parabolic)
     half = np.full(values.shape[0], int(np.floor(scale)))
-    assert_close_to_direct(got, values, half, scale, kernel_id)
+    assert_close_to_direct(got, values, half, scale, parabolic)
 
 
 def direct_shift_sums(y, step, k_profile, g):

@@ -283,33 +283,29 @@ def _chirp_plan(n, m):
     return w, kernel
 
 
-def _half_transform(a, m, hermitian=False):
-    """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, for k = 0..m//2.
+def _half_transform(a, m):
+    """y[..., k] = sum_t a[..., t] e^(-i*2*pi*t*k/m), t = 1..n, on the full grid of m bins.
 
-    A chirp-z (Bluestein) transform over the last axis: with
+    A chirp-z (Bluestein) transform of a real a over the last axis: with
     t*k = (t^2 + k^2 - (k - t)^2)/2 the sum is w_k times the linear
     convolution of a_t w_t with conj(w), done by one forward and one
-    inverse FFT at a 5-smooth length L, whatever the factors of m. Each
-    row works in one zeroed buffer: a_t w_t is written into it, both FFTs
-    and both chirp products run in place, and the bins 0..m//2 are
-    returned as a view of it. With ``hermitian`` (a real a) the buffer
-    holds max(L, m) entries and the full grid of m bins is returned:
-    y(0) and y(1/2) are made real and bins m//2 + 1..m - 1 are written
-    as the conjugates y(-f) = conj y(f) in the same buffer.
+    inverse FFT at a 5-smooth length L, whatever the factors of m, for
+    the bins k = 0..m//2 alone. Each row works in one zeroed buffer of
+    max(L, m) entries: a_t w_t is written into it, both FFTs and both
+    chirp products run in place, y(0) and y(1/2) are made real and bins
+    m//2 + 1..m - 1 are written as the conjugates y(-f) = conj y(f) in
+    the same buffer. The full grid is returned as a view of it.
     """
     n = a.shape[-1]
     w, kernel_hat = _chirp_plan(n, m)
     length, half = kernel_hat.shape[0], m // 2 + 1
-    size = max(length, m) if hermitian else length
-    buf = np.zeros(a.shape[:-1] + (size,), dtype=np.complex128)
+    buf = np.zeros(a.shape[:-1] + (max(length, m),), dtype=np.complex128)
     z = buf[..., :length]
     np.multiply(a, w[1 : n + 1], out=buf[..., :n])
     np.fft.fft(z, out=z)
     z *= kernel_hat
     np.fft.ifft(z, out=z)
     buf[..., :half] *= w[:half]
-    if not hermitian:
-        return buf[..., :half]
     buf.imag[..., 0] = 0.0
     if m % 2 == 0:
         buf.imag[..., m // 2] = 0.0

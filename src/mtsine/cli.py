@@ -226,12 +226,9 @@ def cmd_tables(args):
 
 def cmd_synth(args):
     coeffs = [float(a) for a in args.coeffs.split(",")] if args.coeffs else []
-    if args.model == "white":
-        if coeffs:
-            raise ValueError("white noise takes no --coeffs")
-        spec = ProcessSpec.white(args.sigma2, args.seed)
-    else:
-        spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
+    if args.model == "white" and coeffs:
+        raise ValueError("white noise takes no --coeffs")
+    spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
     x = generate(spec, args.n)
     truth = true_spectrum(spec, _grid_for(args, args.n)) if args.truth_out else None
     _write_csv(args.out, None, [x])  # both made first: a failure leaves no file

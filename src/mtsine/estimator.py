@@ -103,20 +103,17 @@ def as_series(x):
 def make_weights(kind, k_count):
     """Uniform or parabolic weights for ``k_count`` tapers.
 
-    Parabolic weights fall off as 1 - j^2/K^2 (the last weight is zero
-    by construction); a single-taper parabolic request degenerates to
-    uniform.
+    One rule, 1 - j^2/s^2 normalized to sum to one. Parabolic weights take
+    s = K (the last weight is zero by construction). Uniform weights are
+    the same rule at s = inf, and so is a single-taper parabolic request:
+    every raw weight is exactly 1, so each weight is exactly 1/K.
     """
     k_count = _count(k_count, "k_count")
-    if kind == "uniform":
-        return WeightScheme(np.full(k_count, 1.0 / k_count), "uniform")
-    if kind == "parabolic":
-        if k_count == 1:
-            return WeightScheme(np.ones(1), "parabolic")
-        j = np.arange(1, k_count + 1, dtype=np.float64)
-        raw = 1.0 - j**2 / k_count**2
-        return WeightScheme(raw / raw.sum(), "parabolic")
-    raise ValueError(f"unknown weight kind {kind!r}")
+    if kind not in ("uniform", "parabolic"):
+        raise ValueError(f"unknown weight kind {kind!r}")
+    s = k_count if kind == "parabolic" and k_count > 1 else np.inf
+    raw = 1.0 - np.arange(1, k_count + 1, dtype=np.float64) ** 2 / s**2
+    return WeightScheme(raw / raw.sum(), kind)
 
 
 def dft(series, grid):
@@ -134,16 +131,17 @@ def dft(series, grid):
     m = grid.m
     if m < x.shape[0]:
         raise ValueError(f"grid size {m} must be at least the series length")
-    return _kernels._half_transform(x, m, hermitian=True)
+    return _kernels._half_transform(x, m)
 
 
 def multitaper_estimate(series, family, weights, grid=None):
     """Weighted average of tapered periodograms for any orthonormal family.
 
     Each tapered series goes through the chirp-z transform behind
-    :func:`dft` (bins 0..m//2, mirrored to the full grid: a periodogram of
-    a real series is even), so K tapers cost K transforms at a 5-smooth
-    length rather than K FFTs of length m.
+    :func:`dft`, which returns the full Hermitian grid of m bins, so K
+    tapers cost K transforms at a 5-smooth length L rather than K FFTs of
+    length m; the K periodograms are read on all m bins, from K buffers
+    of max(L, m) complex entries.
     """
     x = as_series(series)
     if not isinstance(family, TaperFamily):
@@ -161,7 +159,7 @@ def multitaper_estimate(series, family, weights, grid=None):
     if grid.m < 2 * x.shape[0]:
         raise ValueError(f"estimation grid must have m >= 2n, got m={grid.m}")
     z = _kernels._half_transform(family.taper_matrix * x[None, :], grid.m)
-    values = _kernels._mirror(weights.weights @ (z.real**2 + z.imag**2), grid.m)
+    values = weights.weights @ (z.real**2 + z.imag**2)
     return SpectralEstimate(grid, values, family.k_count, weights)
 
 
@@ -242,9 +240,11 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
     """Taper count minimizing the asymptotic error of the uniform estimate.
 
     Rounds (12*s*n^2/|s2|)^(2/5) to the nearest integer (ties toward
-    more tapers) and clamps to [k_min, k_max]. A vanishing curvature
-    relative to the level clamps to k_max. Accepts scalar or array
-    ``s`` and ``s2``: an int for scalars, an int64 array otherwise.
+    more tapers) and clamps to [k_min, k_max]. The level ``s`` must be
+    finite and positive; a curvature that vanishes relative to it makes
+    the power inf or above 1e120, so the clamp gives k_max. Accepts
+    scalar or array ``s`` and ``s2``: an int for scalars, an int64 array
+    otherwise.
     """
     n = _count(n, "n", lo=2)
     k_max = n if k_max is None else _count(k_max, "k_max", hi=n)
@@ -253,9 +253,11 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
     s2 = np.abs(np.asarray(s2, dtype=np.float64))
     if not np.all(s > 0):
         raise ValueError(f"spectral level must be positive, got {s.min()}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"spectral level must be finite, got {s.max()}")
     if np.any(np.isnan(s2)):
         raise ValueError("curvature must not be nan")
     with np.errstate(over="ignore", divide="ignore"):
         raw = np.floor((12.0 * s * n * n / s2) ** 0.4 + 0.5)
-    k = np.where(s2 < 1e-300 * s, k_max, np.clip(raw, k_min, k_max)).astype(np.int64)
+    k = np.clip(raw, k_min, k_max).astype(np.int64)
     return int(k) if k.ndim == 0 else k

@@ -87,7 +87,7 @@ def default_grid(n):
     """
     n = _count(n, "n")
     block = 2 * (n + 1)
-    return FrequencyGrid(block * max(1, math.ceil(2 * n / (n + 1))))
+    return FrequencyGrid(block * math.ceil(2 * n / (n + 1)))
 
 
 def window_grid(n, oversample=16):

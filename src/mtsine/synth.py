@@ -113,10 +113,9 @@ def true_spectrum(spec, grid):
 
 
 def spectrum_at(spec, freqs):
-    """Spectral density sigma^2 / |1 - sum_j a_j e^(-i*2*pi*j*f)|^2."""
+    """Spectral density sigma^2 / |1 - sum_j a_j e^(-i*2*pi*j*f)|^2; white
+    noise has no a_j, so its response is 1 and its density exactly sigma^2."""
     f = np.asarray(freqs, dtype=np.float64)
-    if spec.kind == "white":
-        return np.full(f.shape, spec.sigma2)
     resp = np.ones(f.shape, dtype=np.complex128)
     for j, a in enumerate(spec.coeffs, start=1):
         resp -= a * np.exp(-2j * np.pi * j * f)
@@ -130,11 +129,10 @@ def true_log_curvature(spec, grid):
     """Second frequency derivative of the log spectral density.
 
     Dense central differences (step 1e-4) of the closed-form log
-    spectrum; exactly zero for white noise.
+    spectrum. For white noise the three log spectra are the same value L,
+    and (L - 2L) + L is exactly +0.
     """
     f = grid.frequencies
-    if spec.kind == "white":
-        return CurvatureProfile(grid, np.zeros(grid.m))
     h = _CURV_STEP
     up = np.log(spectrum_at(spec, f + h))
     mid = np.log(spectrum_at(spec, f))

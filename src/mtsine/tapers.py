@@ -103,9 +103,12 @@ class SymmetricToeplitz:
         return self.first_row[idx]
 
     def quadratic_forms(self, rows):
-        """``r^T A r`` for each row r of ``rows`` (k x n)."""
+        """``r^T A r`` for each row r of ``rows`` (k x n). A r is the valid part
+        of the convolution of r with the first row read at lags 1 - n..n - 1,
+        so no n x n matrix is made."""
         rows = np.asarray(rows, dtype=np.float64)
-        return np.einsum("ij,ij->i", rows @ self.to_dense(), rows)
+        lags = np.concatenate([self.first_row[:0:-1], self.first_row])
+        return np.array([r @ np.convolve(lags, r, "valid") for r in rows])
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,7 @@ def local_bias_matrix(n):
     d = np.arange(n, dtype=np.float64)
     row = np.empty(n)
     row[0] = 1.0 / 12.0
-    if n > 1:
-        row[1:] = ((-1.0) ** d[1:]) / (2.0 * np.pi**2 * d[1:] ** 2)
+    row[1:] = ((-1.0) ** d[1:]) / (2.0 * np.pi**2 * d[1:] ** 2)
     return SymmetricToeplitz(row)
 
 
@@ -181,8 +183,7 @@ def concentration_matrix(n, w):
     d = np.arange(n, dtype=np.float64)
     row = np.empty(n)
     row[0] = 2.0 * w
-    if n > 1:
-        row[1:] = np.sin(2.0 * np.pi * w * d[1:]) / (np.pi * d[1:])
+    row[1:] = np.sin(2.0 * np.pi * w * d[1:]) / (np.pi * d[1:])
     return SymmetricToeplitz(row)
 
 
@@ -236,7 +237,7 @@ def spectral_window(taper, grid=None):
         grid = window_grid(v.shape[0])
     if grid.m < v.shape[0]:
         raise ValueError(f"grid size {grid.m} must be at least the taper length")
-    return SpectralWindow(grid, _kernels._half_transform(v, grid.m, hermitian=True))
+    return SpectralWindow(grid, _kernels._half_transform(v, grid.m))
 
 
 def _dirichlet_ratio(g, n):

@@ -170,6 +170,9 @@ REFUSALS = {
     "expected_square_error: wrong bias count": (
         lambda: expected_square_error(1.0, 1.0, UNIFORM2, [0.1]),
         ValueError, "one local bias per weight is required"),
+    "k_opt: infinite level": (
+        lambda: k_opt([1.0, math.inf], [1.0, math.inf], 64, 4, 16), ValueError,
+        "spectral level must be finite, got inf"),
     "k_opt: nan curvature": (
         lambda: k_opt(1.0, math.nan, 100), ValueError, "curvature must not be nan"),
     "TaperFamily: more tapers than samples": (

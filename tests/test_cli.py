@@ -283,6 +283,15 @@ class TestSynthCommand:
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
         assert not out.exists() and not truth.exists()
 
+    def test_ar_without_coefficients_is_white_noise(self, tmp_path):
+        files = {}
+        for model in ("white", "ar"):
+            out, truth = tmp_path / f"{model}.csv", tmp_path / f"{model}_truth.csv"
+            assert run(["synth", "--model", model, "--n", "64", "--seed", "7",
+                        "--out", out, "--truth-out", truth]) == 0
+            files[model] = out.read_bytes(), truth.read_bytes()
+        assert files["ar"] == files["white"]
+
     def test_odd_grid_ends_below_nyquist(self, tmp_path):
         # on m = 9 points the last half-grid bin is f = 4/9, not 1/2
         truth = tmp_path / "t.csv"

@@ -253,6 +253,14 @@ class TestWeights:
     def test_parabolic_degenerate(self):
         assert make_weights("parabolic", 1).weights == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 4097])
+    def test_one_rule_gives_both_kinds_bit_for_bit(self, k):
+        # uniform weights are the parabolic rule 1 - j^2/s^2 at s = inf
+        assert make_weights("uniform", k).weights.tobytes() == np.full(k, 1.0 / k).tobytes()
+        j = np.arange(1, k + 1, dtype=np.float64)
+        raw = 1.0 - j**2 / k**2 if k > 1 else np.ones(1)
+        assert make_weights("parabolic", k).weights.tobytes() == (raw / raw.sum()).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_weights("uniform", 0)
@@ -296,6 +304,10 @@ class TestKOpt:
 
     def test_zero_curvature_clamps_high(self):
         assert k_opt(1.0, 0.0, 50, 2, 20) == 20
+
+    @pytest.mark.parametrize("s2", [1e-310, 1e-301])
+    def test_vanishing_curvature_clamps_high(self, s2):
+        assert k_opt(1.0, s2, 100, 2, 20) == 20
 
     def test_positive_homogeneity(self):
         for c in (1e-6, 0.5, 3.0, 1e8):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestToeplitzMatrices:
     def test_full_band_is_identity(self):
         b = concentration_matrix(5, 0.5).to_dense()
         assert np.max(np.abs(b - np.eye(5))) < 1e-15
+
+    def test_single_sample(self):
+        assert local_bias_matrix(1).first_row.tolist() == [1.0 / 12.0]
+        assert concentration_matrix(1, 0.1).first_row.tolist() == [0.2]
+
+    def test_quadratic_forms_make_no_dense_matrix(self):
+        fam = sinusoidal_family(2048, 8)
+        tracemalloc.start()
+        try:
+            fam.local_biases
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20  # a dense 2048 x 2048 copy is 32 MiB
 
     def test_halfwidth_validation(self):
         with pytest.raises(ValueError):

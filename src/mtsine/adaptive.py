@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .estimator import (SpectralEstimate, as_series, k_opt, make_weights,
-                        sinusoidal_estimate_fast)
+from .estimator import SpectralEstimate, as_series, k_opt, sinusoidal_estimate_fast
 from .grid import FrequencyGrid, _count, _halfwidth, _own_array, default_grid
 
 
@@ -32,10 +31,10 @@ class KernelSpec:
     moment (the leading bias of a smoother of halfwidth w is
     bias_const * w^2 times the local second derivative) and ``var_const``
     is the integral of the squared profile. Both were computed from those
-    definitions by numeric integration and are frozen here.
+    definitions by numeric integration and are frozen here. The names are
+    :func:`kernel_by_name`'s, not the value's.
     """
 
-    name: str
     parabolic: bool
     bias_const: float
     var_const: float
@@ -47,8 +46,8 @@ class KernelSpec:
         return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-BOX = KernelSpec("box", False, bias_const=1.0 / 6.0, var_const=0.5)
-EPANECHNIKOV = KernelSpec("parabolic", True, bias_const=0.1, var_const=0.6)
+BOX = KernelSpec(False, bias_const=1.0 / 6.0, var_const=0.5)
+EPANECHNIKOV = KernelSpec(True, bias_const=0.1, var_const=0.6)
 
 _KERNELS = {"box": BOX, "parabolic": EPANECHNIKOV, "epanechnikov": EPANECHNIKOV}
 
@@ -104,7 +103,7 @@ def log_multitaper(series, k, grid=None):
     est = sinusoidal_estimate_fast(series, k, grid=grid)
     with np.errstate(divide="ignore"):
         values = np.log(est.values) - log_bias_b(est.k_used)
-    return SpectralEstimate(est.grid, values, est.k_used, est.weights, scale="log")
+    return SpectralEstimate(est.grid, values, est.k_used, scale="log")
 
 
 def kernel_smooth(values, kernel, w, grid):
@@ -319,7 +318,6 @@ def two_stage_log_estimate(series, config=None, grid=None):
             grid,
             _kernels._mirror(smoothed, grid.m),
             config.pilot_k,
-            make_weights("uniform", config.pilot_k),
             scale="log",
             w_used=_kernels._mirror(bins, grid.m) / grid.m,
         )

@@ -165,14 +165,15 @@ def _grid_for(args, n):
 
 
 def cmd_estimate(args):
+    """Half-grid CSV, or with ``--json`` the estimate's ``grid_m``, ``k_used``,
+    ``scale``, ``f`` and ``value`` plus the ``--weights`` kind, keys sorted."""
     x = _read_series(args.input)
     grid = _grid_for(args, x.shape[0])
     est = sinusoidal_estimate_fast(x, args.k, args.weights, grid)
     if args.json:
         idx, f = _half_grid(grid)
-        payload = est.metadata()
-        payload["f"] = f.tolist()
-        payload["value"] = est.values[idx].tolist()
+        payload = {"grid_m": grid.m, "k_used": est.k_used, "weights": args.weights,
+                   "scale": est.scale, "f": f.tolist(), "value": est.values[idx].tolist()}
         _write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
         return 0
     _write_half_grid(args.out, grid, ["value"], [est.values])

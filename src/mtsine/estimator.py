@@ -27,10 +27,9 @@ _WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Nonnegative taper weights summing to one."""
+    """Nonnegative taper weights summing to one; the rule that made them is not kept."""
 
     weights: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         w = _own_array(self, "weights", 1)
@@ -38,8 +37,6 @@ class WeightScheme:
             raise ValueError(f"weights must be nonnegative, got {w.min()}")
         if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to one, got {w.sum()}")
-        if self.kind not in ("uniform", "parabolic", "custom"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
 
     @property
     def k_count(self):
@@ -48,19 +45,20 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Spectral values on a frequency grid plus estimator metadata.
+    """Spectral values on a frequency grid plus the bandwidth they used.
 
     ``values`` are power per unit frequency on the linear scale and
     log-power when ``scale == "log"``; ``k_used`` is the taper count,
-    either a single integer or one integer per grid bin. Linear-scale
-    values must be finite (``FloatingPointError`` otherwise: the input
-    overflowed the estimate) and nonnegative.
+    either a single integer or one integer per grid bin (the caller's
+    taper weights are not kept), and ``w_used`` a variable-w estimate's
+    per-bin smoother halfwidth. Linear-scale values must be finite
+    (``FloatingPointError`` otherwise: the input overflowed the estimate)
+    and nonnegative.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
     k_used: object
-    weights: WeightScheme | None
     scale: str = "linear"
     w_used: np.ndarray | None = None
 
@@ -79,15 +77,6 @@ class SpectralEstimate:
             _own_array(self, "k_used", 1, np.int64)
         if self.w_used is not None:
             _own_array(self, "w_used", 1)
-
-    def metadata(self):
-        k = self.k_used
-        return {
-            "grid_m": self.grid.m,
-            "k_used": k.tolist() if isinstance(k, np.ndarray) else k,
-            "weights": None if self.weights is None else self.weights.kind,
-            "scale": self.scale,
-        }
 
 
 def as_series(x):
@@ -113,7 +102,7 @@ def make_weights(kind, k_count):
         raise ValueError(f"unknown weight kind {kind!r}")
     s = k_count if kind == "parabolic" and k_count > 1 else np.inf
     raw = 1.0 - np.arange(1, k_count + 1, dtype=np.float64) ** 2 / s**2
-    return WeightScheme(raw / raw.sum(), kind)
+    return WeightScheme(raw / raw.sum())
 
 
 def dft(series, grid):
@@ -160,7 +149,7 @@ def multitaper_estimate(series, family, weights, grid=None):
         raise ValueError(f"estimation grid must have m >= 2n, got m={grid.m}")
     z = _kernels._half_transform(family.taper_matrix * x[None, :], grid.m)
     values = weights.weights @ (z.real**2 + z.imag**2)
-    return SpectralEstimate(grid, values, family.k_count, weights)
+    return SpectralEstimate(grid, values, family.k_count)
 
 
 def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
@@ -204,10 +193,9 @@ def sinusoidal_estimate_fast(series, k, weights=None, grid=None):
     y = dft(x, grid)
     if per_bin:
         values = _kernels.variable_k_combine(y, k, step, n + 1.0, weights == "parabolic")
-        weights = None
     else:
         values = _kernels.combine_shifts(y, weights.weights / (2.0 * (n + 1)), step)
-    return SpectralEstimate(grid, np.maximum(values, 0.0, out=values), k, weights)
+    return SpectralEstimate(grid, np.maximum(values, 0.0, out=values), k)
 
 
 def expected_square_error(s, s2, weights, local_biases):
@@ -242,7 +230,8 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
     Rounds (12*s*n^2/|s2|)^(2/5) to the nearest integer (ties toward
     more tapers) and clamps to [k_min, k_max]. The level ``s`` must be
     finite and positive; a curvature that vanishes relative to it makes
-    the power inf or above 1e120, so the clamp gives k_max. Accepts
+    the power inf or above 1e120, so the clamp gives k_max, and an
+    infinite curvature gives k_min. Accepts
     scalar or array ``s`` and ``s2``: an int for scalars, an int64 array
     otherwise.
     """
@@ -257,7 +246,8 @@ def k_opt(s, s2, n, k_min=1, k_max=None):
         raise ValueError(f"spectral level must be finite, got {s.max()}")
     if np.any(np.isnan(s2)):
         raise ValueError("curvature must not be nan")
-    with np.errstate(over="ignore", divide="ignore"):
+    # 12*s*n^2 may overflow, and inf/inf is nan: fmax takes k_min over it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         raw = np.floor((12.0 * s * n * n / s2) ** 0.4 + 0.5)
-    k = np.clip(raw, k_min, k_max).astype(np.int64)
+    k = np.minimum(np.fmax(raw, k_min), k_max).astype(np.int64)
     return int(k) if k.ndim == 0 else k

@@ -20,22 +20,19 @@ from .grid import _count
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Stationary process description: white noise or an AR recursion.
+    """Stationary process description: an AR recursion.
 
-    ``coeffs`` are the autoregression weights on past samples (empty
-    for white noise); stationarity requires the roots of
+    ``coeffs`` are the autoregression weights on past samples; white
+    noise is the process with none. Stationarity requires the roots of
     1 - sum_j a_j z^j to lie outside the unit circle.
     """
 
-    kind: str
     coeffs: tuple
     sigma2: float
     seed: int
     burn_in: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("white", "ar"):
-            raise ValueError(f"unknown process kind {self.kind!r}")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(
                 f"innovation variance must be finite and positive, got {self.sigma2}")
@@ -45,8 +42,6 @@ class ProcessSpec:
         if not all(math.isfinite(a) for a in coeffs):
             raise ValueError(f"AR coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.kind == "white" and coeffs:
-            raise ValueError("white noise takes no AR coefficients")
         if coeffs and any(abs(r) <= 1.0 + 1e-12 for r in self._poly_roots()):
             raise ValueError(
                 "unstable autoregression: roots of 1 - sum a_j z^j must lie "
@@ -60,14 +55,14 @@ class ProcessSpec:
 
     @classmethod
     def white(cls, sigma2=1.0, seed=0):
-        return cls("white", (), sigma2, seed, burn_in=0)
+        return cls((), sigma2, seed, burn_in=0)
 
     @classmethod
     def ar(cls, coeffs, sigma2=1.0, seed=0, burn_in=1000):
         coeffs = tuple(coeffs)
         if not coeffs or all(a == 0.0 for a in coeffs):
-            return cls("white", (), sigma2, seed, burn_in=0)
-        return cls("ar", coeffs, sigma2, seed, burn_in=burn_in)
+            return cls.white(sigma2, seed)
+        return cls(coeffs, sigma2, seed, burn_in=burn_in)
 
     @classmethod
     def ar2_resonance(cls, pole_radius, pole_freq, sigma2=1.0, seed=0):
@@ -96,7 +91,7 @@ def generate(spec, n):
     """Draw ``n`` samples of the process, deterministic in the seed."""
     total = _count(n, "n") + spec.burn_in
     innov = math.sqrt(spec.sigma2) * _gaussian_stream(spec.seed, total)
-    if spec.kind == "white":
+    if not spec.coeffs:  # white noise, without the recursion's Python loop
         return innov[spec.burn_in:]
     x = _kernels.ar_recurse(innov, np.asarray(spec.coeffs))
     return x[spec.burn_in:]
@@ -109,7 +104,7 @@ def true_spectrum(spec, grid):
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(
             f"exact spectrum overflowed float64 (sigma2={spec.sigma2:g})")
-    return SpectralEstimate(grid, values, 0, None)
+    return SpectralEstimate(grid, values, 0)
 
 
 def spectrum_at(spec, freqs):

@@ -135,19 +135,16 @@ REFUSALS = {
     "CurvatureProfile: values of the wrong length": (
         lambda: CurvatureProfile(GRID8, np.ones(7)),
         ValueError, "values must have one entry per grid bin"),
-    "WeightScheme: unknown kind": (
-        lambda: WeightScheme(np.full(2, 0.5), "cosine"),
-        ValueError, "unknown weight kind 'cosine'"),
     "make_weights: unknown kind": (
         lambda: make_weights("cosine", 2), ValueError, "unknown weight kind 'cosine'"),
     "SpectralEstimate: values of the wrong length": (
-        lambda: SpectralEstimate(GRID8, np.ones(7), 1, None),
+        lambda: SpectralEstimate(GRID8, np.ones(7), 1),
         ValueError, "values must have one entry per grid bin"),
     "SpectralEstimate: unknown scale": (
-        lambda: SpectralEstimate(GRID8, np.ones(8), 1, None, scale="db"),
+        lambda: SpectralEstimate(GRID8, np.ones(8), 1, scale="db"),
         ValueError, "unknown scale 'db'"),
     "SpectralEstimate: negative linear values": (
-        lambda: SpectralEstimate(GRID8, -np.ones(8), 1, None),
+        lambda: SpectralEstimate(GRID8, -np.ones(8), 1),
         ValueError, "linear-scale spectral values must be nonnegative"),
     "multitaper_estimate: family that is not a TaperFamily": (
         lambda: multitaper_estimate(np.ones(4), SINE4.taper_matrix, UNIFORM2),
@@ -196,11 +193,6 @@ REFUSALS = {
     "evaluate_quadratic: series of the wrong length": (
         lambda: evaluate_quadratic(periodogram_quadratic(4), np.ones(5), 0.1),
         ValueError, "series length (5,) does not match order 4"),
-    "ProcessSpec: unknown kind": (
-        lambda: ProcessSpec("ma", (), 1.0, 0), ValueError, "unknown process kind 'ma'"),
-    "ProcessSpec: white noise with coefficients": (
-        lambda: ProcessSpec("white", (0.5,), 1.0, 0),
-        ValueError, "white noise takes no AR coefficients"),
 }
 
 

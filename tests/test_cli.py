@@ -85,15 +85,18 @@ class TestSynthEstimateRoundTrip:
         vals = np.array([float(r[1]) for r in rows])
         assert np.max(np.abs(vals - vals[0])) < 1e-12 * vals[0]
 
-    def test_json_output(self, tmp_path):
+    @pytest.mark.parametrize("weights", ["uniform", "parabolic"])
+    def test_json_output(self, tmp_path, weights):
         series = tmp_path / "x.csv"
         run(["synth", "--model", "white", "--n", "64", "--seed", "1", "--out", series])
         out = tmp_path / "est.json"
-        assert run(["estimate", "--input", series, "--k", "4", "--json",
-                    "--out", out]) == 0
+        assert run(["estimate", "--input", series, "--k", "4", "--weights", weights,
+                    "--json", "--out", out]) == 0
         payload = json.loads(out.read_text())
+        assert set(payload) == {"f", "grid_m", "k_used", "scale", "value", "weights"}
+        assert payload["grid_m"] == default_grid(64).m
         assert payload["k_used"] == 4
-        assert payload["weights"] == "uniform"
+        assert payload["weights"] == weights
         assert payload["scale"] == "linear"
         assert len(payload["f"]) == len(payload["value"])
 

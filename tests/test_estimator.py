@@ -309,6 +309,12 @@ class TestKOpt:
     def test_vanishing_curvature_clamps_high(self, s2):
         assert k_opt(1.0, s2, 100, 2, 20) == 20
 
+    def test_infinite_curvature_clamps_low(self):
+        # 12*s*n^2 overflows, so the ratio is inf/inf = nan
+        assert k_opt(1e308, np.inf, 64, 2, 20) == 2
+        k = k_opt([1e308, 1.0, 1.0], [np.inf, np.inf, 1.0], 64, 2, 20)
+        assert k.tolist() == [2, 2, 20]
+
     def test_positive_homogeneity(self):
         for c in (1e-6, 0.5, 3.0, 1e8):
             assert k_opt(c * 1.0, c * 379.5, 100) == k_opt(1.0, 379.5, 100)

@@ -33,8 +33,12 @@ class TestGenerate:
         assert np.array_equal(generate(spec, 500), generate(spec, 500))
 
     def test_zero_coefficient_ar_is_white(self):
+        # ar() maps no or all-zero coefficients to the white spec itself, not only its draws
+        white = ProcessSpec.white(1.0, seed=5)
+        assert ProcessSpec.ar((0.0,), 1.0, seed=5) == white
+        assert ProcessSpec.ar((), 1.0, seed=5, burn_in=7) == white
         a = generate(ProcessSpec.ar((0.0,), 1.0, seed=5), 64)
-        b = generate(ProcessSpec.white(1.0, seed=5), 64)
+        b = generate(white, 64)
         assert np.array_equal(a, b)
 
     def test_white_variance(self):

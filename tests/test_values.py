@@ -39,12 +39,12 @@ CASES = {
         rng.standard_normal(8) + 1j * rng.standard_normal(8)),
     "WeightScheme.weights": (WeightScheme, "weights", np.array([0.5, 0.5])),
     "SpectralEstimate.values": (
-        lambda a: SpectralEstimate(GRID, a, 1, None), "values", rng.random(8)),
+        lambda a: SpectralEstimate(GRID, a, 1), "values", rng.random(8)),
     "SpectralEstimate.k_used": (
-        lambda a: SpectralEstimate(GRID, np.ones(8), a, None), "k_used",
+        lambda a: SpectralEstimate(GRID, np.ones(8), a), "k_used",
         np.arange(1, 9, dtype=np.int64)),
     "SpectralEstimate.w_used": (
-        lambda a: SpectralEstimate(GRID, np.zeros(8), 2, None, "log", a), "w_used",
+        lambda a: SpectralEstimate(GRID, np.zeros(8), 2, "log", a), "w_used",
         np.full(8, 0.125)),
     "CurvatureProfile.values": (
         lambda a: CurvatureProfile(GRID, a), "values", rng.standard_normal(8)),

@@ -135,6 +135,11 @@ REFUSALS = {
     "CurvatureProfile: values of the wrong length": (
         lambda: CurvatureProfile(GRID8, np.ones(7)),
         ValueError, "values must have one entry per grid bin"),
+    "WeightScheme: negative weights": (
+        lambda: WeightScheme(np.array([1.5, -0.5])),
+        ValueError, "weights must be nonnegative, got -0.5"),
+    "WeightScheme: weights that do not sum to one": (
+        lambda: WeightScheme(np.full(2, 0.25)), ValueError, "weights must sum to one, got 0.5"),
     "make_weights: unknown kind": (
         lambda: make_weights("cosine", 2), ValueError, "unknown weight kind 'cosine'"),
     "SpectralEstimate: values of the wrong length": (
@@ -193,6 +198,12 @@ REFUSALS = {
     "evaluate_quadratic: series of the wrong length": (
         lambda: evaluate_quadratic(periodogram_quadratic(4), np.ones(5), 0.1),
         ValueError, "series length (5,) does not match order 4"),
+    "ProcessSpec: nonpositive innovation variance": (
+        lambda: ProcessSpec((), 0.0, 0),
+        ValueError, "innovation variance must be finite and positive, got 0.0"),
+    "ProcessSpec: non-finite AR coefficient": (
+        lambda: ProcessSpec((0.5, math.nan), 1.0, 0),
+        ValueError, "AR coefficients must be finite, got (0.5, nan)"),
 }
 
 

@@ -13,9 +13,7 @@ from .adaptive import (
     BOX,
     EPANECHNIKOV,
     AdaptiveConfig,
-    CurvatureProfile,
     KernelSpec,
-    curvature_pilot,
     digamma,
     kernel_by_name,
     kernel_smooth,
@@ -81,7 +79,6 @@ __all__ = [
     "AdaptiveConfig",
     "BOX",
     "ComparisonTable",
-    "CurvatureProfile",
     "EPANECHNIKOV",
     "FrequencyGrid",
     "KernelSpec",
@@ -101,7 +98,6 @@ __all__ = [
     "continuous_mb_window",
     "convergence_distances",
     "convergence_table",
-    "curvature_pilot",
     "default_grid",
     "dft",
     "digamma",

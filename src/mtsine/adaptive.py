@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .estimator import SpectralEstimate, as_series, k_opt, sinusoidal_estimate_fast
-from .grid import FrequencyGrid, _count, _halfwidth, _own_array, default_grid
+from .grid import _count, _halfwidth, default_grid
 
 
 @dataclass(frozen=True)
@@ -196,18 +196,6 @@ class AdaptiveConfig:
         return cls(pilot_k=pilot, k_min=min(4, pilot), k_max=k_max, mode=mode)
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """Estimated second derivative of the log spectrum on a grid."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if _own_array(self, "values", 1).shape != (self.grid.m,):
-            raise ValueError("values must have one entry per grid bin")
-
-
 _DIFF_STEP_BINS = 3  # finite-difference step for pilot derivatives
 
 
@@ -240,20 +228,6 @@ def _pilot_derivatives(series, config, grid):
     th1 = (up - dn) / (2.0 * h)
     th2 = (up - 2.0 * smooth + dn) / (h * h)
     return theta, th1, th2
-
-
-def curvature_pilot(series, config, grid=None):
-    """Pilot estimate of the log-spectrum curvature.
-
-    A ``pilot_k``-taper log estimate is smoothed with a wide kernel and
-    differentiated twice by central differences at bins 0..m/2, which are
-    mirrored to the rest of the grid.
-    """
-    x = as_series(series)
-    if grid is None:
-        grid = default_grid(x.shape[0])
-    _, _, th2 = _pilot_derivatives(x, config, grid)
-    return CurvatureProfile(grid, _kernels._mirror(th2, grid.m))
 
 
 # elements copied per block of the moving median: bounds its working memory

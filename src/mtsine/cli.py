@@ -231,10 +231,12 @@ def cmd_synth(args):
         raise ValueError("white noise takes no --coeffs")
     spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
     x = generate(spec, args.n)
-    truth = true_spectrum(spec, _grid_for(args, args.n)) if args.truth_out else None
-    _write_csv(args.out, None, [x])  # both made first: a failure leaves no file
-    if truth is not None:
-        _write_half_grid(args.truth_out, truth.grid, ["value"], [truth.values])
+    if args.truth_out:  # both made first: a failure leaves no file
+        grid = _grid_for(args, args.n)
+        truth = true_spectrum(spec, grid)
+    _write_csv(args.out, None, [x])
+    if args.truth_out:
+        _write_half_grid(args.truth_out, grid, ["value"], [truth])
     return 0
 
 

@@ -13,8 +13,6 @@ import math
 import numpy as np
 
 from . import _kernels
-from .adaptive import CurvatureProfile
-from .estimator import SpectralEstimate
 from .grid import _count
 
 
@@ -24,7 +22,8 @@ class ProcessSpec:
 
     ``coeffs`` are the autoregression weights on past samples; white
     noise is the process with none. Stationarity requires the roots of
-    1 - sum_j a_j z^j to lie outside the unit circle.
+    1 - sum_j a_j z^j to lie outside the unit circle, that is the roots of
+    z^p - a_1 z^(p-1) - ... - a_p to lie inside it.
     """
 
     coeffs: tuple
@@ -42,16 +41,14 @@ class ProcessSpec:
         if not all(math.isfinite(a) for a in coeffs):
             raise ValueError(f"AR coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs and any(abs(r) <= 1.0 + 1e-12 for r in self._poly_roots()):
+        # the roots of z^p - a_1 z^(p-1) - ... - a_p are the reciprocals of
+        # those of 1 - sum a_j z^j, found without dividing by a tiny a_p
+        lam = np.roots([1.0, *(-a for a in coeffs)])
+        if np.any(np.abs(lam) >= 1.0 / (1.0 + 1e-12)):
             raise ValueError(
                 "unstable autoregression: roots of 1 - sum a_j z^j must lie "
                 "outside the unit circle"
             )
-
-    def _poly_roots(self):
-        # polynomial 1 - a_1 z - ... - a_p z^p, highest degree first
-        neg = [-a for a in self.coeffs]
-        return np.roots(np.array(neg[::-1] + [1.0]))
 
     @classmethod
     def white(cls, sigma2=1.0, seed=0):
@@ -98,13 +95,14 @@ def generate(spec, n):
 
 
 def true_spectrum(spec, grid):
-    """Exact spectral density on a grid; ``FloatingPointError`` if it overflows."""
+    """Exact spectral density at each bin of a grid, as a float64 array;
+    ``FloatingPointError`` if it overflows."""
     with np.errstate(over="ignore"):  # inf, reported below
         values = spectrum_at(spec, grid.frequencies)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(
             f"exact spectrum overflowed float64 (sigma2={spec.sigma2:g})")
-    return SpectralEstimate(grid, values, 0)
+    return values
 
 
 def spectrum_at(spec, freqs):
@@ -121,7 +119,8 @@ _CURV_STEP = 1e-4
 
 
 def true_log_curvature(spec, grid):
-    """Second frequency derivative of the log spectral density.
+    """Second frequency derivative of the log spectral density at each bin
+    of a grid, as a float64 array; ``FloatingPointError`` if it is not finite.
 
     Dense central differences (step 1e-4) of the closed-form log
     spectrum. For white noise the three log spectra are the same value L,
@@ -129,7 +128,12 @@ def true_log_curvature(spec, grid):
     """
     f = grid.frequencies
     h = _CURV_STEP
-    up = np.log(spectrum_at(spec, f + h))
-    mid = np.log(spectrum_at(spec, f))
-    dn = np.log(spectrum_at(spec, f - h))
-    return CurvatureProfile(grid, (up - 2.0 * mid + dn) / (h * h))
+    with np.errstate(all="ignore"):  # an overflowed or underflowed spectrum, reported below
+        up = np.log(spectrum_at(spec, f + h))
+        mid = np.log(spectrum_at(spec, f))
+        dn = np.log(spectrum_at(spec, f - h))
+        curv = (up - 2.0 * mid + dn) / (h * h)
+    if not np.all(np.isfinite(curv)):
+        raise FloatingPointError(
+            f"log-spectrum curvature is not finite in float64 (sigma2={spec.sigma2:g})")
+    return curv

@@ -268,7 +268,7 @@ def test_criterion_09_adaptive_benchmark():
     base = ProcessSpec.ar2_resonance(0.98, 0.2)
     grid = default_grid(n)
     theta_true = np.log(spectrum_at(base, grid.frequencies))
-    curv = np.abs(true_log_curvature(base, grid).values)
+    curv = np.abs(true_log_curvature(base, grid))
     flattest = np.argsort(curv)[: grid.m // 10]
     peak = int(np.argmin(np.abs(grid.frequencies - 0.2)))
     config = AdaptiveConfig.default_for(n)

@@ -23,7 +23,6 @@ from mtsine import (
     EPANECHNIKOV,
     AdaptiveConfig,
     ComparisonTable,
-    CurvatureProfile,
     FrequencyGrid,
     ProcessSpec,
     QuadraticEstimator,
@@ -131,9 +130,6 @@ REFUSALS = {
         lambda: kernel_by_name("gauss"), ValueError, "unknown kernel 'gauss'"),
     "kernel_smooth: values of the wrong length": (
         lambda: kernel_smooth(np.ones(7), EPANECHNIKOV, 0.25, GRID8),
-        ValueError, "values must have one entry per grid bin"),
-    "CurvatureProfile: values of the wrong length": (
-        lambda: CurvatureProfile(GRID8, np.ones(7)),
         ValueError, "values must have one entry per grid bin"),
     "WeightScheme: negative weights": (
         lambda: WeightScheme(np.array([1.5, -0.5])),

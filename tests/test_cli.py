@@ -345,7 +345,7 @@ class TestCsvFormat:
         idx, f = self.half_grid()
         f_cells, v_cells = zip(*rows)
         assert_float_cells(f_cells, f)
-        assert_float_cells(v_cells, true_spectrum(spec, default_grid(self.n)).values[idx])
+        assert_float_cells(v_cells, true_spectrum(spec, default_grid(self.n))[idx])
 
     def test_estimate(self, series, tmp_path):
         path, _ = series
@@ -824,6 +824,16 @@ class TestFailureContract:
                 argv += ["--grid-size", grid_size]
             if run_under_contract(tmp, argv, []) == 0:
                 assert sorted(os.listdir(tmp)) == ["truth.csv", "x.csv"]
+
+    @pytest.mark.parametrize("coeffs", ["0.5,1e-320", "1e-320"])
+    def test_synth_with_a_tiny_last_coefficient(self, coeffs):
+        # a stable process whose last coefficient is subnormal is accepted
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["synth", "--model", "ar", "--coeffs", coeffs, "--n", 10,
+                    "--out", os.path.join(tmp, "s.csv"),
+                    "--truth-out", os.path.join(tmp, "t.csv")]
+            assert run_under_contract(tmp, argv, []) == 0
+            assert sorted(os.listdir(tmp)) == ["s.csv", "t.csv"]
 
     def test_synth_truth_overflow_writes_nothing(self):
         # S(0) = 1e308 / 0.1^2 overflows: exit 3 before either file is opened,

@@ -46,10 +46,19 @@ class TestGenerate:
         assert x.var() == pytest.approx(4.0, abs=0.1)
 
     def test_unstable_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessSpec.ar((1.01,), 1.0)
+        # a root within 1e-12 of the unit circle counts as on it
+        for coeffs in [(1.01,), (1.0,), (0.999999999999,), (-0.9999999999999,)]:
+            with pytest.raises(ValueError, match="unstable autoregression"):
+                ProcessSpec.ar(coeffs, 1.0)
         with pytest.raises(ValueError):
             ProcessSpec.ar2_resonance(1.0, 0.2)
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 1e-320), (1e-320,)])
+    def test_tiny_last_coefficient_is_stable(self, coeffs):
+        # the stability check must not divide by a subnormal a_p
+        spec = ProcessSpec.ar(coeffs)
+        assert spec.coeffs == coeffs
+        assert np.all(np.isfinite(generate(spec, 64)))
 
     def test_resonance_poles(self):
         spec = ProcessSpec.ar2_resonance(0.98, 0.2)
@@ -76,7 +85,7 @@ def yule_walker_variance(coeffs, sigma2):
 class TestTrueSpectrum:
     def test_white_constant(self):
         est = true_spectrum(ProcessSpec.white(3.0, seed=0), FrequencyGrid(64))
-        assert np.max(np.abs(est.values - 3.0)) == 0.0
+        assert np.max(np.abs(est - 3.0)) == 0.0
 
     def test_ar1_peak(self):
         spec = ProcessSpec.ar((0.9,), 1.0)
@@ -86,7 +95,7 @@ class TestTrueSpectrum:
     def test_integral_matches_yule_walker(self, coeffs):
         spec = ProcessSpec.ar(coeffs, 1.3)
         grid = FrequencyGrid(1 << 14)
-        quad = true_spectrum(spec, grid).values.mean()
+        quad = true_spectrum(spec, grid).mean()
         assert quad == pytest.approx(yule_walker_variance(coeffs, 1.3), abs=1e-6)
 
     def test_sample_variance_tracks_spectrum_integral(self):
@@ -99,11 +108,16 @@ class TestTrueSpectrum:
 class TestTrueLogCurvature:
     def test_white_zero(self):
         prof = true_log_curvature(ProcessSpec.white(1.0, seed=0), FrequencyGrid(32))
-        assert np.array_equal(prof.values, np.zeros(32))
+        assert np.array_equal(prof, np.zeros(32))
 
     def test_ar1_negative_at_peak(self):
         prof = true_log_curvature(ProcessSpec.ar((0.9,), 1.0), FrequencyGrid(64))
-        assert prof.values[0] < 0
+        assert prof[0] < 0
+
+    def test_overflow_raises_without_warning(self):
+        # S(0) = 1e307 / 0.01^2 overflows; the suite turns warnings into errors
+        with pytest.raises(FloatingPointError, match="curvature is not finite"):
+            true_log_curvature(ProcessSpec.ar((0.99,), 1e307), FrequencyGrid(16))
 
     def test_matches_fine_differences(self):
         # 1e-6-step differences evaluated in extended precision so the
@@ -122,5 +136,5 @@ class TestTrueLogCurvature:
 
         ref = (log_s(f + h) - 2.0 * log_s(f) + log_s(f - h)) / h**2
         ref = ref.astype(np.float64)
-        rel = np.abs(prof.values - ref) / np.maximum(np.abs(ref), 1.0)
+        rel = np.abs(prof - ref) / np.maximum(np.abs(ref), 1.0)
         assert rel.max() < 1e-4

@@ -10,7 +10,6 @@ import pytest
 
 from mtsine import (
     ComparisonTable,
-    CurvatureProfile,
     FrequencyGrid,
     QuadraticEstimator,
     SpectralEstimate,
@@ -46,8 +45,6 @@ CASES = {
     "SpectralEstimate.w_used": (
         lambda a: SpectralEstimate(GRID, np.zeros(8), 2, "log", a), "w_used",
         np.full(8, 0.125)),
-    "CurvatureProfile.values": (
-        lambda a: CurvatureProfile(GRID, a), "values", rng.standard_normal(8)),
     "ComparisonTable.values": (
         lambda a: ComparisonTable((1, 2), ("x", "y"), a), "values",
         np.array([[1.0, 2.0], [3.0, 4.0]])),

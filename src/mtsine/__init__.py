@@ -10,12 +10,8 @@ curvature of the log spectrum.
 """
 
 from .adaptive import (
-    BOX,
-    EPANECHNIKOV,
     AdaptiveConfig,
-    KernelSpec,
     digamma,
-    kernel_by_name,
     kernel_smooth,
     log_bias_b,
     log_multitaper,
@@ -56,7 +52,6 @@ from .quadratic import (
 )
 from .synth import ProcessSpec, generate, spectrum_at, true_log_curvature, true_spectrum
 from .tapers import (
-    SpectralWindow,
     SymmetricToeplitz,
     Taper,
     TaperFamily,
@@ -77,15 +72,11 @@ NUMBA_ENABLED = False
 __all__ = [
     "NUMBA_ENABLED",
     "AdaptiveConfig",
-    "BOX",
     "ComparisonTable",
-    "EPANECHNIKOV",
     "FrequencyGrid",
-    "KernelSpec",
     "ProcessSpec",
     "QuadraticEstimator",
     "SpectralEstimate",
-    "SpectralWindow",
     "SymmetricToeplitz",
     "Taper",
     "TaperFamily",
@@ -105,7 +96,6 @@ __all__ = [
     "expected_square_error",
     "generate",
     "k_opt",
-    "kernel_by_name",
     "kernel_smooth",
     "kernel_transfer",
     "local_bias",

@@ -11,52 +11,21 @@ log estimate and its correction are written once for one K or a per-bin
 K(f) alike, and the variable-K stage is that estimate at its K profile.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from . import _kernels
 from .estimator import SpectralEstimate, as_series, k_opt, sinusoidal_estimate_fast
-from .grid import _count, _halfwidth, default_grid
+from .grid import _count, _halfwidth, _kernel, default_grid
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Symmetric unit-mass smoothing kernel on [-1, 1].
-
-    ``parabolic`` picks the profile: 3/4 (1 - u^2) (Epanechnikov), or
-    when false the box 1/2, which the smoothers realize as the parabolic
-    weight at infinite scale. ``bias_const`` is half the kernel's second
-    moment (the leading bias of a smoother of halfwidth w is
-    bias_const * w^2 times the local second derivative) and ``var_const``
-    is the integral of the squared profile. Both were computed from those
-    definitions by numeric integration and are frozen here. The names are
-    :func:`kernel_by_name`'s, not the value's.
-    """
-
-    parabolic: bool
-    bias_const: float
-    var_const: float
-
-    def profile(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        if not self.parabolic:
-            return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
-        return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-
-
-BOX = KernelSpec(False, bias_const=1.0 / 6.0, var_const=0.5)
-EPANECHNIKOV = KernelSpec(True, bias_const=0.1, var_const=0.6)
-
-_KERNELS = {"box": BOX, "parabolic": EPANECHNIKOV, "epanechnikov": EPANECHNIKOV}
-
-
-def kernel_by_name(name):
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel {name!r}; use box or parabolic") from None
+# each kernel kind's (b, C): b is half the second moment of its profile on
+# [-1, 1], the box 1/2 or the parabolic 3/4 (1 - u^2), so a smoother of
+# halfwidth w biases by b * w^2 times the second derivative; C is the
+# integral of the squared profile. Both were frozen from numeric integration.
+_KERNEL_MOMENTS = {"box": (1.0 / 6.0, 0.5), "parabolic": (0.1, 0.6)}
 
 
 def digamma(x):
@@ -107,7 +76,8 @@ def log_multitaper(series, k, grid=None):
 
 
 def kernel_smooth(values, kernel, w, grid):
-    """Circularly smooth grid values with a kernel of halfwidth ``w``.
+    """Circularly smooth grid values with the ``"box"`` or ``"parabolic"``
+    kernel of halfwidth ``w``.
 
     Discrete weights are the kernel profile sampled at the grid offsets
     within ``w`` and renormalized to unit mass, so constants are preserved
@@ -116,17 +86,19 @@ def kernel_smooth(values, kernel, w, grid):
     if np.shape(values) != (grid.m,):
         raise ValueError("values must have one entry per grid bin")
     values = np.asarray(values, dtype=np.float64)
-    return _kernels.smooth_circular(values, _halfwidth(w) * grid.m, kernel.parabolic)
+    return _kernels.smooth_circular(
+        values, _halfwidth(w) * grid.m, _kernel(kernel) == "parabolic")
 
 
-def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
+def w_opt(theta2, n, k_count, kernel="parabolic", grid_m=None):
     """Error-minimizing smoother halfwidth for given log-spectrum curvature.
 
     Minimizes the asymptotic squared error
     ``theta2^2 * (b*w^2 + K^2/(24n^2))^2 + C*(1 + 1/(2K))^2/(n*w)``
-    exactly over w. With ``a = 4*theta2^2*b``, the stationarity condition
-    ``g(w) = a*w^3*(b*w^2 + c) - d = 0`` is increasing and convex
-    for w > 0, so Newton steps taken from the right of the root decrease
+    exactly over w, the kernel kind's (b, C) read from ``_KERNEL_MOMENTS``.
+    With ``a = 4*theta2^2*b``, the stationarity condition
+    ``g(w) = a*w^3*(b*w^2 + c) - d = 0`` is increasing and convex for
+    w > 0, so Newton steps taken from the right of the root decrease
     monotonically onto it. They start at its c = 0 root, the closed form
     ``(d/(a*b))^(1/5)`` ~ |theta2|^(-2/5) * n^(-1/5), or at 1/4
     if that is smaller, and stop when a step changes no value. The result
@@ -137,10 +109,10 @@ def w_opt(theta2, n, k_count, kernel=EPANECHNIKOV, grid_m=None):
         grid_m = default_grid(n).m
     theta2 = np.asarray(theta2, dtype=np.float64)
     scalar = theta2.ndim == 0
-    b = kernel.bias_const
+    b, var = _KERNEL_MOMENTS[_kernel(kernel)]
     a = 4.0 * np.atleast_1d(theta2) ** 2 * b
     c = k_count**2 / (24.0 * n * n)
-    d = kernel.var_const * (1.0 + 0.5 / k_count) ** 2 / n
+    d = var * (1.0 + 0.5 / k_count) ** 2 / n
     # a flat curvature (theta2 = 0, or so small that d/(a*b) overflows) gives
     # an infinite start and a 0/0 step that np.where drops: those bins start
     # at 1/4, where g is about -d < 0, and stay there
@@ -164,7 +136,8 @@ class AdaptiveConfig:
     off the pilot after smoothing with ``curvature_halfwidth``. The
     final stage either varies the taper count within
     [``k_min``, ``k_max``] (mode ``"variable_k"``) or the smoother
-    halfwidth (mode ``"variable_w"``).
+    halfwidth (mode ``"variable_w"``), smoothing with the ``kernel`` kind
+    ``"box"`` or ``"parabolic"``.
     """
 
     pilot_k: int
@@ -172,7 +145,7 @@ class AdaptiveConfig:
     k_max: int = 64
     curvature_halfwidth: float = 0.05
     mode: str = "variable_k"
-    kernel: KernelSpec = field(default=EPANECHNIKOV)
+    kernel: str = "parabolic"
 
     def __post_init__(self):
         for name in ("k_min", "pilot_k", "k_max"):
@@ -184,6 +157,7 @@ class AdaptiveConfig:
             )
         if self.mode not in ("variable_k", "variable_w"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _kernel(self.kernel)
         object.__setattr__(self, "curvature_halfwidth",
                            _halfwidth(self.curvature_halfwidth, "curvature_halfwidth"))
 
@@ -221,7 +195,7 @@ def _pilot_derivatives(series, config, grid):
         theta = np.where(np.isfinite(theta), theta, finite.min())
     half, d = grid.m // 2 + 1, _DIFF_STEP_BINS
     smooth = _kernels.smooth_circular(
-        theta, config.curvature_halfwidth * grid.m, config.kernel.parabolic, half
+        theta, config.curvature_halfwidth * grid.m, config.kernel == "parabolic", half
     )
     ext = _kernels._mirror(smooth, grid.m).take(np.arange(-d, half + d), mode="wrap")
     up, dn, h = ext[2 * d :], ext[:half], d / grid.m
@@ -287,7 +261,7 @@ def two_stage_log_estimate(series, config=None, grid=None):
     if config.mode == "variable_w":
         halfwidths = w_opt(th2, n, config.pilot_k, config.kernel, grid_m=grid.m)
         bins = np.clip(np.rint(halfwidths * grid.m), 1, grid.m // 4).astype(np.int64)
-        smoothed = _kernels.smooth_variable(theta, bins, config.kernel.parabolic)
+        smoothed = _kernels.smooth_variable(theta, bins, config.kernel == "parabolic")
         return SpectralEstimate(
             grid,
             _kernels._mirror(smoothed, grid.m),

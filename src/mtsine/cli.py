@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, kernel_by_name, log_multitaper, two_stage_log_estimate
+from .adaptive import AdaptiveConfig, log_multitaper, two_stage_log_estimate
 from .estimator import as_series, sinusoidal_estimate_fast
 from .grid import FrequencyGrid, default_grid, window_grid
 from .metrics import (
@@ -149,8 +149,9 @@ def cmd_tapers(args):
     _write_tapers(args.out, family.taper_matrix)
     if args.out is None:
         return 0
-    windows = [spectral_window(t, grid).power for t in family.tapers]
-    _write_half_grid(_sidecar(args.out, "window"), grid, _k_labels(family.k_count), windows)
+    windows = (spectral_window(row, grid) for row in family.taper_matrix)
+    power = [w.real**2 + w.imag**2 for w in windows]
+    _write_half_grid(_sidecar(args.out, "window"), grid, _k_labels(family.k_count), power)
     _write_csv(
         _sidecar(args.out, "bias"),
         ["k", "local_bias", "normalized_bias"],
@@ -187,7 +188,7 @@ def cmd_adaptive(args):
     flags = ("pilot_k", "k_min", "k_max", "curvature_halfwidth")
     config = dataclasses.replace(
         AdaptiveConfig.default_for(n, mode=args.mode),
-        kernel=kernel_by_name(args.kernel),
+        kernel=args.kernel,
         **{f: getattr(args, f) for f in flags if getattr(args, f) is not None},
     )
     est = two_stage_log_estimate(x, config, grid)
@@ -231,9 +232,9 @@ def cmd_synth(args):
         raise ValueError("white noise takes no --coeffs")
     spec = ProcessSpec.ar(coeffs, args.sigma2, args.seed, burn_in=args.burn_in)
     x = generate(spec, args.n)
-    if args.truth_out:  # both made first: a failure leaves no file
-        grid = _grid_for(args, args.n)
-        truth = true_spectrum(spec, grid)
+    # the grid is checked, and both made, first: a failure leaves no file
+    grid = _grid_for(args, args.n)
+    truth = true_spectrum(spec, grid) if args.truth_out else None
     _write_csv(args.out, None, [x])
     if args.truth_out:
         _write_half_grid(args.truth_out, grid, ["value"], [truth])

@@ -47,6 +47,14 @@ def _halfwidth(w, name="halfwidth w"):
     return float(w)
 
 
+def _kernel(kind):
+    """How a function takes a smoothing kernel: its kind, ``"box"`` or
+    ``"parabolic"``, named like a weight kind; any other is refused."""
+    if not (isinstance(kind, str) and kind in ("box", "parabolic")):
+        raise ValueError(f"unknown kernel {kind!r}; use box or parabolic")
+    return kind
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform circular frequency grid with ``m`` points, ``m`` an integer."""

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptive import EPANECHNIKOV
-from .grid import _count, _halfwidth, _own_array
+from .grid import _count, _halfwidth, _kernel, _own_array
 from .metrics import ComparisonTable, bias_normalization
 from .tapers import (
     Taper,
@@ -78,7 +77,8 @@ def evaluate_quadratic(q, series, freqs):
 
 
 def kernel_transfer(kernel, w, lag):
-    """Fourier coefficient of the mass-preserving kernel at integer lag.
+    """Fourier coefficient of the mass-preserving ``"box"`` or ``"parabolic"``
+    kernel at integer lag.
 
     Integral of (1/w) * kernel(g/w) * e^(i*2*pi*lag*g) over [-w, w];
     real by symmetry. Closed forms: sinc(2*lag*w) for the box kernel
@@ -89,7 +89,7 @@ def kernel_transfer(kernel, w, lag):
     lag = np.asarray(lag, dtype=np.float64)
     scalar = lag.ndim == 0
     m = np.atleast_1d(lag)
-    if not kernel.parabolic:
+    if _kernel(kernel) == "box":
         out = np.sinc(2.0 * w * m)
     else:
         a = 2.0 * np.pi * w * m
@@ -155,7 +155,7 @@ def split_cosine_taper(n, taper_fraction):
     return Taper(v / np.linalg.norm(v))
 
 
-def table4_decomposition(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01):
+def table4_decomposition(n=200, taper_fraction=0.2, kernel="parabolic", w=0.01):
     """Decompose the smoothed split-cosine tapered periodogram of Table 4.
 
     Returns ``(weights, family)``: the eigenvalues relative to the trace
@@ -192,14 +192,14 @@ def tabulate_table4(weights, family, k_rows=7):
     )
 
 
-def table4_experiment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV, w=0.01,
+def table4_experiment(n=200, taper_fraction=0.2, kernel="parabolic", w=0.01,
                       k_rows=7):
     """Decompose and tabulate Table 4 (see ``tabulate_table4``)."""
     weights, family = table4_decomposition(n, taper_fraction, kernel, w)
     return tabulate_table4(weights, family, k_rows)
 
 
-def first_eigenvector_alignment(n=200, taper_fraction=0.2, kernel=EPANECHNIKOV,
+def first_eigenvector_alignment(n=200, taper_fraction=0.2, kernel="parabolic",
                                 w=0.01):
     """Overlap of the leading Table 4 eigenvector with the first
     sinusoidal taper."""

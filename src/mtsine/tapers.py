@@ -15,13 +15,13 @@ window, is derived from the rows as v^T A v with A the local-bias
 matrix, by one definition for every family.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .grid import FrequencyGrid, _count, _halfwidth, _own_array, window_grid
+from .grid import _count, _halfwidth, _own_array, window_grid
 
 SIGN_EPS = 1e-8  # leading-component threshold for the eigenvector sign rule
 _UNIT_NORM_TOL = 1e-12
@@ -80,10 +80,6 @@ class TaperFamily:
     def k_count(self):
         return self.taper_matrix.shape[0]
 
-    @property
-    def tapers(self):
-        return [Taper(row) for row in self.taper_matrix]
-
 
 @dataclass(frozen=True)
 class SymmetricToeplitz:
@@ -109,22 +105,6 @@ class SymmetricToeplitz:
         rows = np.asarray(rows, dtype=np.float64)
         lags = np.concatenate([self.first_row[:0:-1], self.first_row])
         return np.array([r @ np.convolve(lags, r, "valid") for r in rows])
-
-
-@dataclass(frozen=True)
-class SpectralWindow:
-    """Complex window V(f) of a taper evaluated on a frequency grid."""
-
-    grid: FrequencyGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if _own_array(self, "values", 1, np.complex128).shape != (self.grid.m,):
-            raise ValueError("values must have one entry per grid bin")
-
-    @property
-    def power(self):
-        return self.values.real**2 + self.values.imag**2
 
 
 def _taper_values(taper):
@@ -225,7 +205,8 @@ def slepian_family(n, w, k_count):
 
 
 def spectral_window(taper, grid=None):
-    """Zero-padded transform of a taper on a frequency grid.
+    """Zero-padded transform V(f) of a taper on a frequency grid, one
+    complex value per bin; its power is ``|V|^2``.
 
     Uses the 1-based sample convention V(f) = sum_t v_t e^(-i*2*pi*t*f),
     t = 1..n, so the first sample carries the phase factor e^(-i*2*pi*f).
@@ -237,7 +218,7 @@ def spectral_window(taper, grid=None):
         grid = window_grid(v.shape[0])
     if grid.m < v.shape[0]:
         raise ValueError(f"grid size {grid.m} must be at least the taper length")
-    return SpectralWindow(grid, _kernels._half_transform(v, grid.m))
+    return _kernels._half_transform(v, grid.m)
 
 
 def _dirichlet_ratio(g, n):

@@ -11,7 +11,6 @@ import pytest
 
 from mtsine import (
     AdaptiveConfig,
-    EPANECHNIKOV,
     ProcessSpec,
     bias_table,
     concentration_table,
@@ -131,7 +130,7 @@ def test_criterion_04_smoothed_periodogram_exactness():
     worst_entry = 0.0
     worst_align = 1.0
     for n in (8, 50, 200):
-        smoothed = smooth_quadratic(periodogram_quadratic(n), EPANECHNIKOV, 0.5)
+        smoothed = smooth_quadratic(periodogram_quadratic(n), "parabolic", 0.5)
         a = local_bias_matrix(n).to_dense()
         closed = (1.5 * np.eye(n) - 6.0 * a) / n
         worst_entry = max(worst_entry, float(np.max(np.abs(smoothed.matrix - closed))))

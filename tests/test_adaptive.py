@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtsine import (
-    BOX,
-    EPANECHNIKOV,
     AdaptiveConfig,
     FrequencyGrid,
     ProcessSpec,
@@ -115,7 +113,7 @@ class TestLogMultitaper:
 class TestKernelSmooth:
     def test_mass_preservation(self):
         grid = FrequencyGrid(256)
-        for kernel in (BOX, EPANECHNIKOV):
+        for kernel in ("box", "parabolic"):
             for w in (0.01, 0.1, 0.3):
                 out = kernel_smooth(np.full(grid.m, 2.5), kernel, w, grid)
                 assert np.max(np.abs(out - 2.5)) < 1e-12
@@ -123,7 +121,7 @@ class TestKernelSmooth:
     def test_box_is_moving_average(self):
         grid = FrequencyGrid(64)
         v = rng.standard_normal(grid.m)
-        out = kernel_smooth(v, BOX, 3.4 / grid.m, grid)  # covers 7 bins
+        out = kernel_smooth(v, "box", 3.4 / grid.m, grid)  # covers 7 bins
         ref = np.array([np.roll(v, s) for s in range(-3, 4)]).mean(axis=0)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -131,7 +129,7 @@ class TestKernelSmooth:
         m, cycles, w = 32768, 2, 0.25
         grid = FrequencyGrid(m)
         v = np.cos(2.0 * np.pi * cycles * np.arange(m) / m)
-        out = kernel_smooth(v, EPANECHNIKOV, w, grid)
+        out = kernel_smooth(v, "parabolic", w, grid)
         a = 2.0 * np.pi * w * cycles
         gain = 3.0 * (np.sin(a) - a * np.cos(a)) / a**3
         assert np.max(np.abs(out - gain * v)) < 1e-6
@@ -139,20 +137,21 @@ class TestKernelSmooth:
     def test_rejects_subgrid_width(self):
         grid = FrequencyGrid(64)
         with pytest.raises(ValueError):
-            kernel_smooth(np.zeros(64), BOX, 0.5 / 64, grid)
+            kernel_smooth(np.zeros(64), "box", 0.5 / 64, grid)
 
 
 class TestKernelConstants:
-    @pytest.mark.parametrize("kernel", [BOX, EPANECHNIKOV])
+    @pytest.mark.parametrize("kernel", ["box", "parabolic"])
     def test_frozen_constants_match_quadrature(self, kernel):
         u = np.linspace(-1.0, 1.0, 200001)
-        prof = kernel.profile(u)
+        prof = np.where(np.abs(u) <= 1.0, 0.5 if kernel == "box" else 0.75 * (1.0 - u * u), 0.0)
         mass = np.trapezoid(prof, u)
         half_second_moment = 0.5 * np.trapezoid(u * u * prof, u)
         squared = np.trapezoid(prof * prof, u)
+        bias_const, var_const = adaptive._KERNEL_MOMENTS[kernel]
         assert mass == pytest.approx(1.0, abs=1e-8)
-        assert kernel.bias_const == pytest.approx(half_second_moment, abs=1e-8)
-        assert kernel.var_const == pytest.approx(squared, abs=1e-8)
+        assert bias_const == pytest.approx(half_second_moment, abs=1e-8)
+        assert var_const == pytest.approx(squared, abs=1e-8)
 
 
 class TestWOpt:
@@ -161,19 +160,19 @@ class TestWOpt:
 
     def test_scaling_law(self):
         # negligible taper term: doubling curvature scales by 2^(-2/5)
-        lo = w_opt(10.0, 100_000, 4, EPANECHNIKOV, grid_m=1 << 20)
-        hi = w_opt(20.0, 100_000, 4, EPANECHNIKOV, grid_m=1 << 20)
+        lo = w_opt(10.0, 100_000, 4, "parabolic", grid_m=1 << 20)
+        hi = w_opt(20.0, 100_000, 4, "parabolic", grid_m=1 << 20)
         assert hi / lo == pytest.approx(2.0 ** (-0.4), rel=1e-3)
 
     def test_exact_minimizer(self):
         # dense scan oracle over the asymptotic error expression
         n, k, t2 = 2048, 32, 300.0
-        kern = EPANECHNIKOV
-        got = w_opt(t2, n, k, kern, grid_m=8196)
+        got = w_opt(t2, n, k, "parabolic", grid_m=8196)
+        bias_const, var_const = adaptive._KERNEL_MOMENTS["parabolic"]
         w = np.linspace(2.0 / 8196, 0.25, 200001)
         err = (
-            t2**2 * (kern.bias_const * w**2 + k**2 / (24.0 * n * n)) ** 2
-            + kern.var_const * (1.0 + 0.5 / k) ** 2 / (n * w)
+            t2**2 * (bias_const * w**2 + k**2 / (24.0 * n * n)) ** 2
+            + var_const * (1.0 + 0.5 / k) ** 2 / (n * w)
         )
         assert abs(got - w[np.argmin(err)]) < 2e-5
 
@@ -187,13 +186,13 @@ class TestWOpt:
         st.floats(0.0, 1e12),
         st.integers(2, 1 << 16),
         st.integers(1, 64),
-        st.sampled_from([BOX, EPANECHNIKOV]),
+        st.sampled_from(["box", "parabolic"]),
     )
-    @example(7.8e-157, 2, 1, BOX)  # d / (4*t2^2*b^2) overflows
+    @example(7.8e-157, 2, 1, "box")  # d / (4*t2^2*b^2) overflows
     def test_root_of_stationarity_or_clamped(self, t2, n, k, kern):
         # g is the error's derivative up to the positive factor 1/w^2
-        b, c = kern.bias_const, k**2 / (24.0 * n * n)
-        d = kern.var_const * (1.0 + 0.5 / k) ** 2 / n
+        (b, var_const), c = adaptive._KERNEL_MOMENTS[kern], k**2 / (24.0 * n * n)
+        d = var_const * (1.0 + 0.5 / k) ** 2 / n
 
         def g(w):
             return 4.0 * t2 * t2 * b * w**3 * (b * w * w + c) - d
@@ -597,7 +596,7 @@ class TestTwoStage:
 
     def test_box_variable_w_is_the_window_mean_of_the_pilot(self):
         x = generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=26), 2048)
-        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, mode="variable_w", kernel=BOX)
+        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, mode="variable_w", kernel="box")
         est = two_stage_log_estimate(x, cfg)
         m = est.grid.m
         theta = log_multitaper(x, cfg.pilot_k, grid=est.grid).values
@@ -610,7 +609,7 @@ class TestTwoStage:
 
     def test_box_variable_k_profile(self):
         x = generate(ProcessSpec.ar2_resonance(0.98, 0.2, seed=27), 2048)
-        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, kernel=BOX)
+        cfg = AdaptiveConfig(pilot_k=59, k_min=4, k_max=512, kernel="box")
         est = two_stage_log_estimate(x, cfg)
         assert cfg.k_min <= est.k_used.min() < est.k_used.max() <= cfg.k_max
         self.assert_exactly_even(est.k_used)

@@ -1,13 +1,15 @@
-"""One way a function takes a count or a halfwidth.
+"""One way a function takes a count, a halfwidth or a kernel.
 
 A count (a length, a taper count or index, a grid size, a seed) is an
 integer: any integer type is accepted and gives the same result as the
 ``int``, and a float, even a whole one, or a string is refused with a
-``ValueError`` that names the argument. A halfwidth lies in (0, 1/2].
-Both rules live in ``grid.py`` and nowhere else. Every other argument
+``ValueError`` that names the argument. A halfwidth lies in (0, 1/2]. A
+kernel is one of the kinds ``"box"`` and ``"parabolic"``, and the CLI's
+``--kernel`` offers those. The rules live in ``grid.py`` and nowhere else. Every other argument
 guard refuses its bad value with the error and message it documents.
 """
 
+import argparse
 import ast
 import dataclasses
 import math
@@ -19,15 +21,12 @@ import pytest
 
 import mtsine
 from mtsine import (
-    BOX,
-    EPANECHNIKOV,
     AdaptiveConfig,
     ComparisonTable,
     FrequencyGrid,
     ProcessSpec,
     QuadraticEstimator,
     SpectralEstimate,
-    SpectralWindow,
     TaperFamily,
     WeightScheme,
     asymptotic_sinusoidal_loss,
@@ -40,7 +39,6 @@ from mtsine import (
     expected_square_error,
     generate,
     k_opt,
-    kernel_by_name,
     kernel_smooth,
     kernel_transfer,
     local_bias_matrix,
@@ -53,11 +51,13 @@ from mtsine import (
     sinusoidal_taper,
     sinusoidal_window_closed,
     slepian_family,
+    smooth_quadratic,
     spectral_window,
     split_cosine_taper,
     w_opt,
     window_grid,
 )
+from mtsine.cli import build_parser
 from mtsine.quadratic import table4_decomposition, tabulate_table4
 from mtsine.tapers import concentration_matrix
 
@@ -114,10 +114,20 @@ HALFWIDTHS = {
     "concentration_matrix.w": lambda w: concentration_matrix(8, w),
     "slepian_family.w": lambda w: slepian_family(8, w, 2),
     "concentration_table.w": lambda w: concentration_table(8, w, 3),
-    "kernel_smooth.w": lambda w: kernel_smooth(np.ones(64), EPANECHNIKOV, w, FrequencyGrid(64)),
-    "kernel_transfer.w": lambda w: kernel_transfer(BOX, w, 3),
+    "kernel_smooth.w": lambda w: kernel_smooth(np.ones(64), "parabolic", w, FrequencyGrid(64)),
+    "kernel_transfer.w": lambda w: kernel_transfer("box", w, 3),
     "AdaptiveConfig.curvature_halfwidth": lambda w: AdaptiveConfig(
         pilot_k=6, curvature_halfwidth=w),
+}
+
+# "function.argument": call with the kernel set to v
+KERNELS = {
+    "AdaptiveConfig.kernel": lambda v: AdaptiveConfig(pilot_k=6, kernel=v),
+    "kernel_smooth.kernel": lambda v: kernel_smooth(np.ones(64), v, 0.1, FrequencyGrid(64)),
+    "w_opt.kernel": lambda v: w_opt(300.0, 2048, 16, v),
+    "kernel_transfer.kernel": lambda v: kernel_transfer(v, 0.1, 3),
+    "smooth_quadratic.kernel": lambda v: smooth_quadratic(periodogram_quadratic(4), v, 0.1),
+    "table4_decomposition.kernel": lambda v: table4_decomposition(40, kernel=v),
 }
 
 GRID8 = FrequencyGrid(8)
@@ -126,10 +136,8 @@ UNIFORM2 = make_weights("uniform", 2)
 
 # "function: what is wrong": (a call that is refused, its error, its message)
 REFUSALS = {
-    "kernel_by_name: unknown name": (
-        lambda: kernel_by_name("gauss"), ValueError, "unknown kernel 'gauss'"),
     "kernel_smooth: values of the wrong length": (
-        lambda: kernel_smooth(np.ones(7), EPANECHNIKOV, 0.25, GRID8),
+        lambda: kernel_smooth(np.ones(7), "parabolic", 0.25, GRID8),
         ValueError, "values must have one entry per grid bin"),
     "WeightScheme: negative weights": (
         lambda: WeightScheme(np.array([1.5, -0.5])),
@@ -176,9 +184,6 @@ REFUSALS = {
     "TaperFamily: more tapers than samples": (
         lambda: TaperFamily(np.eye(3)[:, :2]),
         ValueError, "cannot have more tapers than samples: K=3, n=2"),
-    "SpectralWindow: values of the wrong length": (
-        lambda: SpectralWindow(GRID8, np.ones(7)),
-        ValueError, "values must have one entry per grid bin"),
     "spectral_window: grid shorter than the taper": (
         lambda: spectral_window(sinusoidal_taper(8, 1), FrequencyGrid(7)),
         ValueError, "grid size 7 must be at least the taper length"),
@@ -240,6 +245,21 @@ def test_refuses_a_halfwidth_outside_the_half_band(case_id, bad):
         HALFWIDTHS[case_id](bad)
 
 
+@pytest.mark.parametrize("case_id", KERNELS)
+@pytest.mark.parametrize("bad", ["gauss", "epanechnikov"])
+def test_refuses_a_kernel_that_is_not_a_kind(case_id, bad):
+    with pytest.raises(ValueError, match=re.escape(f"unknown kernel {bad!r}; use box or parabolic")):
+        KERNELS[case_id](bad)
+
+
+def test_each_cli_kernel_choice_builds_a_config():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kernel = next(a for a in sub.choices["adaptive"]._actions if a.dest == "kernel")
+    assert kernel.choices and kernel.default in kernel.choices
+    for kind in kernel.choices:
+        assert AdaptiveConfig(pilot_k=6, kernel=kind).kernel == kind
+
+
 @pytest.mark.parametrize("case_id", REFUSALS)
 def test_refuses_a_bad_argument(case_id):
     call, error, message = REFUSALS[case_id]
@@ -276,10 +296,13 @@ def _calls_and_strings(path):
 
 
 def test_argument_rules_live_only_in_the_grid_module():
-    """Counts go through ``grid._count`` and halfwidths through ``grid._halfwidth``."""
+    """Counts go through ``grid._count``, halfwidths through ``grid._halfwidth``
+    and kernels through ``grid._kernel``."""
     found = {p.name: _calls_and_strings(p) for p in Path(mtsine.__file__).parent.glob("*.py")}
     calls, strings = found.pop("grid.py")
-    assert calls and any("(0, 1/2]" in s for s in strings)
+    assert calls
+    for refusal in ("(0, 1/2]", "use box or parabolic"):
+        assert any(refusal in s for s in strings)
+        assert {name: [s for s in ss if refusal in s]
+                for name, (_, ss) in found.items() if any(refusal in s for s in ss)} == {}
     assert {name: c for name, (c, _) in found.items() if c} == {}
-    assert {name: [s for s in ss if "(0, 1/2]" in s]
-            for name, (_, ss) in found.items() if any("(0, 1/2]" in s for s in ss)} == {}

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from mtsine import (
-    BOX,
     AdaptiveConfig,
     ProcessSpec,
     cli,
@@ -385,7 +384,7 @@ class TestCsvFormat:
         out = tmp_path / "ad.csv"
         assert run(["adaptive", "--input", path, "--mode", mode, "--kernel", "box",
                     "--out", out]) == 0
-        config = dataclasses.replace(AdaptiveConfig.default_for(self.n, mode=mode), kernel=BOX)
+        config = dataclasses.replace(AdaptiveConfig.default_for(self.n, mode=mode), kernel="box")
         est = two_stage_log_estimate(np.loadtxt(path), config, default_grid(self.n))
         idx, _ = self.half_grid()
         assert_float_cells(list(zip(*read_csv(out)[1]))[1], est.values[idx])
@@ -404,8 +403,9 @@ class TestCsvFormat:
         idx, f = cli._half_grid(grid)
         columns = list(zip(*read_csv(tmp_path / "tp_window.csv")[1]))
         assert_float_cells(columns[0], f)
-        for col, taper in zip(columns[1:], family.tapers, strict=True):
-            assert_float_cells(col, spectral_window(taper, grid).power[idx])
+        for col, taper in zip(columns[1:], family.taper_matrix, strict=True):
+            window = spectral_window(taper, grid)[idx]
+            assert_float_cells(col, window.real**2 + window.imag**2)
         header, rows = read_csv(tmp_path / "tp_bias.csv")
         k_cells, lam_cells, norm_cells = zip(*rows)
         assert_int_cells(k_cells, range(1, k + 1))
@@ -824,6 +824,16 @@ class TestFailureContract:
                 argv += ["--grid-size", grid_size]
             if run_under_contract(tmp, argv, []) == 0:
                 assert sorted(os.listdir(tmp)) == ["truth.csv", "x.csv"]
+
+    @pytest.mark.parametrize("truth_out", [False, True])
+    def test_synth_refuses_a_one_point_grid(self, truth_out):
+        # --grid-size is checked whether or not the truth is written
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["synth", "--model", "white", "--n", 8, "--grid-size", 1,
+                    "--out", os.path.join(tmp, "g.csv")]
+            if truth_out:
+                argv += ["--truth-out", os.path.join(tmp, "t.csv")]
+            assert run_under_contract(tmp, argv, []) == 2
 
     @pytest.mark.parametrize("coeffs", ["0.5,1e-320", "1e-320"])
     def test_synth_with_a_tiny_last_coefficient(self, coeffs):

@@ -24,7 +24,7 @@ class TestLocalBias:
 
     def test_minimum_bias_first(self):
         fam = minimum_bias_family(50, 1)
-        val = local_bias(fam.tapers[0])
+        val = local_bias(fam.taper_matrix[0])
         assert 4 * 51**2 * val == pytest.approx(1.0095, abs=5e-4)
 
     def test_uniform_two_sample(self):
@@ -45,7 +45,7 @@ class TestConcentration:
 
     def test_minimum_bias_in_band(self):
         fam = minimum_bias_family(50, 5)
-        assert concentration(fam.tapers[4], 0.08) == pytest.approx(0.9888, abs=5e-4)
+        assert concentration(fam.taper_matrix[4], 0.08) == pytest.approx(0.9888, abs=5e-4)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

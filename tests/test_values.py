@@ -13,7 +13,6 @@ from mtsine import (
     FrequencyGrid,
     QuadraticEstimator,
     SpectralEstimate,
-    SpectralWindow,
     SymmetricToeplitz,
     Taper,
     TaperFamily,
@@ -33,9 +32,6 @@ CASES = {
         TaperFamily, "taper_matrix", sinusoidal_family(6, 3).taper_matrix),
     "SymmetricToeplitz.first_row": (
         SymmetricToeplitz, "first_row", np.array([1.0, 0.5, 0.25])),
-    "SpectralWindow.values": (
-        lambda a: SpectralWindow(GRID, a), "values",
-        rng.standard_normal(8) + 1j * rng.standard_normal(8)),
     "WeightScheme.weights": (WeightScheme, "weights", np.array([0.5, 0.5])),
     "SpectralEstimate.values": (
         lambda a: SpectralEstimate(GRID, a, 1), "values", rng.random(8)),

@@ -5,8 +5,8 @@ entry of its count or halfwidth array). The estimate of a real series
 is even in f, so callers take bins 0..m/2 of an even result and mirror
 them once with :func:`_mirror`. The shift combines have one primitive,
 :func:`_shift_sums` (a loop over blocks of bins with the shift loop
-inside), behind :func:`combine_shifts` (one taper count, any weights)
-and :func:`variable_k_combine` (one taper count per bin).
+inside), behind :func:`combine_shifts` (one taper count) and
+:func:`variable_k_combine` (one per bin), which share one weighting.
 :func:`ar_recurse` runs the AR recursion sample by sample. Smoothing has
 one primitive, :func:`window_average`, behind :func:`smooth_circular`
 (one halfwidth) and :func:`smooth_variable` (one per bin). Its one weight
@@ -33,8 +33,9 @@ import numpy as np
 _SHIFT_BLOCK = 1 << 14
 
 
-def _shift_sums(y, step, k, g):
-    """Shift-pair sums ``sums[q, i] = sum_{j <= k[i]} g[q, j-1] |d_j(i)|^2``, i < len(k).
+def _shift_sums(y, step, k, parabolic):
+    """Shift-pair sums ``sums[0, i] = sum_{j <= k[i]} |d_j(i)|^2``, i < len(k),
+    and for ``parabolic`` also ``sums[1, i] = sum_{j <= k[i]} j^2 |d_j(i)|^2``.
 
     ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid of
     ``m = len(y)`` bins; k holds one count per output bin, so its length
@@ -53,11 +54,8 @@ def _shift_sums(y, step, k, g):
     m, bins = y.shape[0], k.shape[0]
     count = -(-bins // _SHIFT_BLOCK)
     cuts = [bins * c // count for c in range(count + 1)]
-    sums = np.empty((g.shape[0], bins))
+    sums = np.empty((2 if parabolic else 1, bins))
     p, t = np.empty((2, min(bins, _SHIFT_BLOCK)))
-    # a row of ones adds |d_j|^2 as it is: the multiply by one changes no bit
-    unit = np.all(g == 1.0, axis=1)
-    ones, scaled = np.flatnonzero(unit).tolist(), np.flatnonzero(~unit).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for b0, b1 in zip(cuts[:-1], cuts[1:]):
             kb = k[b0:b1]
@@ -84,29 +82,44 @@ def _shift_sums(y, step, k, g):
                 np.multiply(pw, pw, out=pw)
                 np.multiply(tw, tw, out=tw)
                 np.add(pw, tw, out=pw)
-                for q in ones:
-                    np.add(acc[q], pw, out=acc[q], where=where)
-                for q in scaled:
-                    np.multiply(g[q, j - 1], pw, out=tw)
-                    np.add(acc[q], tw, out=acc[q], where=where)
+                np.add(acc[0], pw, out=acc[0], where=where)
+                if parabolic:
+                    np.multiply(float(j * j), pw, out=tw)
+                    np.add(acc[1], tw, out=acc[1], where=where)
     return sums
-
-
-def combine_shifts(y, weights, step):
-    """Weighted sum over shift pairs: sum_j w_j |y[i+j*step] - y[i-j*step]|^2.
-
-    y is the complex transform of a real series on the full circular
-    grid, Hermitian as :func:`mtsine.dft` returns it; j runs from 1 to
-    len(weights). The sums are even, so bins 0..m/2 are summed and
-    mirrored once.
-    """
-    k = np.broadcast_to(weights.shape[0], (y.shape[0] // 2 + 1,))
-    return _mirror(_shift_sums(y, step, k, weights[None, :])[0], y.shape[0])
 
 
 def _parabolic_norm(k):
     # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1, which is averaged uniformly
     return k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
+
+
+def _average(sums, k, n1, parabolic):
+    """The estimate from :func:`_shift_sums`, in ``sums[0]``: each bin's K
+    differences averaged with uniform weights, sums[0] / K, or parabolic
+    ones 1 - j^2/K^2, (sums[0] - sums[1]/K^2) / _parabolic_norm(K), times
+    1/(2*(N+1)), ``n1 = N + 1``. ``k`` is one count for every bin or one
+    per bin; a bin's value has the same bits at the same K either way."""
+    est = sums[0]
+    if parabolic:
+        par = sums[1]
+        # 1/0 at K = 1, whose value is not kept, and inf - inf from an overflowed sum
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.divide(1.0, _parabolic_norm(k))
+            np.subtract(est, np.divide(par, k * k, out=par), out=par)
+            np.multiply(c, par, out=par)
+        np.divide(par, 2.0 * n1, out=par)
+    np.divide(est, 2.0 * n1 * k, out=est)
+    if parabolic:
+        np.copyto(est, par, where=k > 1)
+    return est
+
+
+def combine_shifts(y, k_count, step, n1, parabolic):
+    """:func:`variable_k_combine` at one taper count, the int ``k_count``, for every bin."""
+    k = np.broadcast_to(k_count, (y.shape[0] // 2 + 1,))
+    est = _average(_shift_sums(y, step, k, parabolic), k_count, n1, parabolic)
+    return _mirror(est, y.shape[0])
 
 
 def variable_k_combine(y, k_profile, step, n1, parabolic):
@@ -123,16 +136,7 @@ def variable_k_combine(y, k_profile, step, n1, parabolic):
     m = k.shape[0]
     even = np.array_equal(k[1:], k[:0:-1])  # bins 0 and m/2 are their own mirrors
     k = k[: m // 2 + 1] if even else k
-    j = np.arange(1.0, k.max() + 1.0)
-    g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
-    sums = _shift_sums(y, step, k, g)
-    est = sums[0] / (2.0 * n1 * k)
-    if parabolic:
-        sel = k > 1
-        ks = k[sel]
-        c = 1.0 / _parabolic_norm(ks)
-        with np.errstate(invalid="ignore"):  # inf - inf from an overflowed sum
-            est[sel] = c * (sums[0, sel] - sums[1, sel] / (ks * ks)) / (2.0 * n1)
+    est = _average(_shift_sums(y, step, k, parabolic), k, n1, parabolic)
     return _mirror(est, m) if even else est
 
 
@@ -294,7 +298,7 @@ def _half_transform(a, m):
     max(L, m) entries: a_t w_t is written into it, both FFTs and both
     chirp products run in place, y(0) and y(1/2) are made real and bins
     m//2 + 1..m - 1 are written as the conjugates y(-f) = conj y(f) in
-    the same buffer. The full grid is returned as a view of it.
+    the same buffer, which is returned, or a copy of its first m if L > m.
     """
     n = a.shape[-1]
     w, kernel_hat = _chirp_plan(n, m)
@@ -312,7 +316,7 @@ def _half_transform(a, m):
     # source bins m - half..1 lie below destination bins half..m - 1, so
     # numpy writes the conjugates without a temporary copy
     np.conjugate(buf[..., m - half : 0 : -1], out=buf[..., half:m])
-    return buf[..., :m]
+    return buf[..., :m].copy() if length > m else buf
 
 
 def _mirror(half, m):

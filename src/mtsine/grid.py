@@ -55,6 +55,14 @@ def _kernel(kind):
     return kind
 
 
+def _weight_kind(kind):
+    """How a function takes a taper weighting: its kind, ``"uniform"`` or
+    ``"parabolic"``; any other, a :class:`~mtsine.WeightScheme` too, is refused."""
+    if not (isinstance(kind, str) and kind in ("uniform", "parabolic")):
+        raise ValueError(f"unknown weight kind {kind!r}; use uniform or parabolic")
+    return kind
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform circular frequency grid with ``m`` points, ``m`` an integer."""

@@ -157,7 +157,7 @@ def test_criterion_05_fast_path_equivalence():
             w = make_weights("uniform", k)
             for _ in range(20):
                 x = rng.standard_normal(n)
-                fast = sinusoidal_estimate_fast(x, k, w, grid).values
+                fast = sinusoidal_estimate_fast(x, k, "uniform", grid).values
                 slow = multitaper_estimate(x, fam, w, grid).values
                 rel = np.abs(fast - slow) / np.maximum(slow, 1e-300)
                 worst = max(worst, float(rel.max()))

@@ -1,12 +1,15 @@
-"""One way a function takes a count, a halfwidth or a kernel.
+"""One way a function takes a count, a halfwidth, a kernel or a taper weighting.
 
 A count (a length, a taper count or index, a grid size, a seed) is an
 integer: any integer type is accepted and gives the same result as the
 ``int``, and a float, even a whole one, or a string is refused with a
 ``ValueError`` that names the argument. A halfwidth lies in (0, 1/2]. A
 kernel is one of the kinds ``"box"`` and ``"parabolic"``, and the CLI's
-``--kernel`` offers those. The rules live in ``grid.py`` and nowhere else. Every other argument
-guard refuses its bad value with the error and message it documents.
+``--kernel`` offers those. A taper weighting is one of the kinds
+``"uniform"`` and ``"parabolic"`` (a ``WeightScheme`` is refused), and the
+CLI's ``--weights`` offers those. The rules live in ``grid.py`` and nowhere
+else. Every other argument guard refuses its bad value with the error and
+message it documents.
 """
 
 import argparse
@@ -134,6 +137,14 @@ GRID8 = FrequencyGrid(8)
 SINE4 = sinusoidal_family(4, 2)
 UNIFORM2 = make_weights("uniform", 2)
 
+# "function.argument": call with the taper weighting set to v
+WEIGHT_KINDS = {
+    "make_weights.kind": lambda v: make_weights(v, 2),
+    "sinusoidal_estimate_fast.weights": lambda v: sinusoidal_estimate_fast(np.ones(4), 2, v),
+    "sinusoidal_estimate_fast.weights-per_bin": lambda v: sinusoidal_estimate_fast(
+        np.ones(4), np.full(default_grid(4).m, 2), v),
+}
+
 # "function: what is wrong": (a call that is refused, its error, its message)
 REFUSALS = {
     "kernel_smooth: values of the wrong length": (
@@ -144,8 +155,6 @@ REFUSALS = {
         ValueError, "weights must be nonnegative, got -0.5"),
     "WeightScheme: weights that do not sum to one": (
         lambda: WeightScheme(np.full(2, 0.25)), ValueError, "weights must sum to one, got 0.5"),
-    "make_weights: unknown kind": (
-        lambda: make_weights("cosine", 2), ValueError, "unknown weight kind 'cosine'"),
     "SpectralEstimate: values of the wrong length": (
         lambda: SpectralEstimate(GRID8, np.ones(7), 1),
         ValueError, "values must have one entry per grid bin"),
@@ -170,9 +179,6 @@ REFUSALS = {
     "sinusoidal_estimate_fast: per-bin K of strings": (
         lambda: sinusoidal_estimate_fast(np.ones(4), np.full(default_grid(4).m, "4")),
         ValueError, "a taper count K must be a whole number"),
-    "sinusoidal_estimate_fast: weight count other than K": (
-        lambda: sinusoidal_estimate_fast(np.ones(4), 3, UNIFORM2),
-        ValueError, "2 weights for K=3 tapers"),
     "expected_square_error: wrong bias count": (
         lambda: expected_square_error(1.0, 1.0, UNIFORM2, [0.1]),
         ValueError, "one local bias per weight is required"),
@@ -252,12 +258,32 @@ def test_refuses_a_kernel_that_is_not_a_kind(case_id, bad):
         KERNELS[case_id](bad)
 
 
-def test_each_cli_kernel_choice_builds_a_config():
+@pytest.mark.parametrize("case_id", WEIGHT_KINDS)
+@pytest.mark.parametrize("bad", ["cosine", "Uniform", None, UNIFORM2],
+                         ids=["cosine", "Uniform", "None", "WeightScheme"])
+def test_refuses_a_weighting_that_is_not_a_kind(case_id, bad):
+    message = f"unknown weight kind {bad!r}; use uniform or parabolic"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WEIGHT_KINDS[case_id](bad)
+
+
+def _cli_choices(command, dest):
+    """The ``choices`` of option ``dest`` of a CLI subcommand, which hold its default."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    kernel = next(a for a in sub.choices["adaptive"]._actions if a.dest == "kernel")
-    assert kernel.choices and kernel.default in kernel.choices
-    for kind in kernel.choices:
+    option = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    assert option.choices and option.default in option.choices
+    return option.choices
+
+
+def test_each_cli_kernel_choice_builds_a_config():
+    for kind in _cli_choices("adaptive", "kernel"):
         assert AdaptiveConfig(pilot_k=6, kernel=kind).kernel == kind
+
+
+def test_each_cli_weight_choice_is_accepted():
+    for kind in _cli_choices("estimate", "weights"):
+        for call in WEIGHT_KINDS.values():
+            call(kind)
 
 
 @pytest.mark.parametrize("case_id", REFUSALS)
@@ -296,12 +322,13 @@ def _calls_and_strings(path):
 
 
 def test_argument_rules_live_only_in_the_grid_module():
-    """Counts go through ``grid._count``, halfwidths through ``grid._halfwidth``
-    and kernels through ``grid._kernel``."""
+    """Counts go through ``grid._count``, halfwidths through ``grid._halfwidth``,
+    kernels through ``grid._kernel`` and taper weightings through
+    ``grid._weight_kind``."""
     found = {p.name: _calls_and_strings(p) for p in Path(mtsine.__file__).parent.glob("*.py")}
     calls, strings = found.pop("grid.py")
     assert calls
-    for refusal in ("(0, 1/2]", "use box or parabolic"):
+    for refusal in ("(0, 1/2]", "use box or parabolic", "use uniform or parabolic"):
         assert any(refusal in s for s in strings)
         assert {name: [s for s in ss if refusal in s]
                 for name, (_, ss) in found.items() if any(refusal in s for s in ss)} == {}

@@ -22,7 +22,6 @@ from mtsine import (
     cli,
     default_grid,
     generate,
-    make_weights,
     sinusoidal_estimate_fast,
     sinusoidal_family,
     sinusoidal_taper,
@@ -352,7 +351,7 @@ class TestCsvFormat:
         assert run(["estimate", "--input", path, "--k", "6", "--weights", "parabolic",
                     "--out", out]) == 0
         x = np.loadtxt(path)
-        est = sinusoidal_estimate_fast(x, 6, make_weights("parabolic", 6), default_grid(self.n))
+        est = sinusoidal_estimate_fast(x, 6, "parabolic", default_grid(self.n))
         idx, f = self.half_grid()
         f_cells, v_cells = zip(*read_csv(out)[1])
         assert_float_cells(f_cells, f)

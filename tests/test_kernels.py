@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mtsine import FrequencyGrid, _kernels, dft, make_weights
+from mtsine import FrequencyGrid, _kernels, dft
 
 rng = np.random.default_rng(91)
 
@@ -187,7 +187,7 @@ def direct_variable_k(y, k, step, n1, parabolic):
 class TestShiftCombines:
     """A single K or an even per-bin K is summed on bins 0..m/2 and mirrored,
     any other per-bin K on all m bins: bit for bit the direct sums over
-    all m bins."""
+    all m bins, a single K as the constant profile."""
 
     def transform(self, n, mult):
         grid = FrequencyGrid(2 * (n + 1) * mult)
@@ -215,10 +215,10 @@ class TestShiftCombines:
     def test_fixed_k_matches_full_grid(self, n, mult):
         y, step = self.transform(n, mult)
         for k in sorted({1, 2, n // 3, n}):  # K = n: the shifts wrap past m/2
-            kinds = [make_weights(kind, k).weights for kind in ("uniform", "parabolic")]
-            for w in kinds + [rng.random(k)]:
-                ref = direct_shift_sums(y, step, np.full(y.shape[0], k), w[None, :])[0]
-                assert np.array_equal(_kernels.combine_shifts(y, w, step), ref)
+            for parabolic in (False, True):
+                got = _kernels.combine_shifts(y, k, step, n + 1.0, parabolic)
+                ref = direct_variable_k(y, np.full(y.shape[0], k), step, n + 1.0, parabolic)
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", [7, 16, 64])
     @pytest.mark.parametrize("parabolic", [False, True])
@@ -255,9 +255,9 @@ def test_per_bin_combine_is_one_pass(monkeypatch):
     y, step, m = dft(draw.standard_normal(n), grid), grid.shift_step(n), grid.m
     bins, shift_sums = [], _kernels._shift_sums
 
-    def counted(y, step, k, g):
+    def counted(y, step, k, parabolic):
         bins.append(k.shape[0])
-        return shift_sums(y, step, k, g)
+        return shift_sums(y, step, k, parabolic)
 
     monkeypatch.setattr(_kernels, "_shift_sums", counted)
     even = _kernels._mirror(draw.integers(1, n + 1, size=m // 2 + 1), m)

@@ -34,8 +34,9 @@ _SHIFT_BLOCK = 1 << 14
 
 
 def _shift_sums(y, step, k, parabolic):
-    """Shift-pair sums ``sums[0, i] = sum_{j <= k[i]} |d_j(i)|^2``, i < len(k),
-    and for ``parabolic`` also ``sums[1, i] = sum_{j <= k[i]} j^2 |d_j(i)|^2``.
+    """Weighted shift-pair sums ``sums[i] = sum_{j <= k[i]} w_j |d_j(i)|^2``,
+    i < len(k), with uniform weights w_j = 1 or, for ``parabolic``, the
+    whole numbers w_j = K^2 - j^2 at K = k[i] (w_1 = 1 at K = 1).
 
     ``d_j(i) = y[i + j*step] - y[i - j*step]`` on the circular grid of
     ``m = len(y)`` bins; k holds one count per output bin, so its length
@@ -46,15 +47,17 @@ def _shift_sums(y, step, k, parabolic):
     runs only over the hull [first, last) of the bins whose K reaches j,
     both ends found by ``searchsorted`` on the running maximum of K from
     each end, and adds only where K reaches j inside it. Every bin gets
-    the same additions in the same order as over the whole block. The
-    work is about sum_i K_i for a K with one hump per block; a constant K
-    takes neither hull nor mask. Overflow gives inf (or nan) without a
-    warning; the caller's estimate reports it.
+    the same additions in the same order as over the whole block, and a
+    block of one K takes its weights as scalars of the same value, so a
+    bin's sum has the same bits at the same K in any profile. The work is
+    about sum_i K_i for a K with one hump per block; a constant K takes
+    neither hull nor mask. Overflow gives inf (or nan) without a warning;
+    the caller's estimate reports it.
     """
     m, bins = y.shape[0], k.shape[0]
     count = -(-bins // _SHIFT_BLOCK)
     cuts = [bins * c // count for c in range(count + 1)]
-    sums = np.empty((2 if parabolic else 1, bins))
+    sums = np.empty(bins)
     p, t = np.empty((2, min(bins, _SHIFT_BLOCK)))
     with np.errstate(over="ignore", invalid="ignore"):
         for b0, b1 in zip(cuts[:-1], cuts[1:]):
@@ -63,8 +66,11 @@ def _shift_sums(y, step, k, parabolic):
             pad, w = k_hi * step, b1 - b0
             near = np.arange(b0 - pad, b1 + pad) % m
             re, im = y.real[near], y.imag[near]
-            acc, pw, tw, where = sums[:, b0:b1], p[:w], t[:w], True
+            acc, pw, tw, where, c0, c1 = sums[b0:b1], p[:w], t[:w], True, 0, w
             acc.fill(0.0)
+            if parabolic:
+                # w_j = kk - j^2, with kk = 2 at K = 1 so that its one weight is 1
+                kk = _squares(k_hi) if k_lo == k_hi else _squares(kb).astype(np.float64)
             if k_lo < k_hi:
                 # the hull [first, last) of the bins whose K reaches shift j > k_lo
                 js = np.arange(k_lo + 1, k_hi + 1)
@@ -75,44 +81,36 @@ def _shift_sums(y, step, k, parabolic):
                 if j > k_lo:
                     c0, c1 = first[j - k_lo - 1], last[j - k_lo - 1]
                     lo, hi, w = lo + c0, hi + c0, c1 - c0
-                    acc, pw, tw = sums[:, b0 + c0 : b0 + c1], p[:w], t[:w]
+                    acc, pw, tw = sums[b0 + c0 : b0 + c1], p[:w], t[:w]
                     where = kb[c0:c1] >= j
                 np.subtract(re[hi : hi + w], re[lo : lo + w], out=pw)
                 np.subtract(im[hi : hi + w], im[lo : lo + w], out=tw)
                 np.multiply(pw, pw, out=pw)
                 np.multiply(tw, tw, out=tw)
                 np.add(pw, tw, out=pw)
-                np.add(acc[0], pw, out=acc[0], where=where)
                 if parabolic:
-                    np.multiply(float(j * j), pw, out=tw)
-                    np.add(acc[1], tw, out=acc[1], where=where)
+                    wj = float(kk - j * j) if k_lo == k_hi else np.subtract(kk[c0:c1], j * j, out=tw)
+                    np.multiply(pw, wj, out=pw)
+                np.add(acc, pw, out=acc, where=where)
     return sums
 
 
-def _parabolic_norm(k):
-    # sum_{j=1..k} (1 - j^2/k^2); zero for k = 1, which is averaged uniformly
-    return k - (k + 1.0) * (2.0 * k + 1.0) / (6.0 * k)
+def _squares(k):
+    # K^2 for the parabolic weights K^2 - j^2, and 2 at K = 1, averaged uniformly
+    return np.where(k > 1, k * k, 2) if np.ndim(k) else (k * k if k > 1 else 2)
 
 
 def _average(sums, k, n1, parabolic):
-    """The estimate from :func:`_shift_sums`, in ``sums[0]``: each bin's K
-    differences averaged with uniform weights, sums[0] / K, or parabolic
-    ones 1 - j^2/K^2, (sums[0] - sums[1]/K^2) / _parabolic_norm(K), times
-    1/(2*(N+1)), ``n1 = N + 1``. ``k`` is one count for every bin or one
-    per bin; a bin's value has the same bits at the same K either way."""
-    est = sums[0]
+    """The estimate from :func:`_shift_sums`: each bin's weighted sum over
+    its weights' sum, K for uniform weights and K(K-1)(4K+1)/6 for parabolic
+    ones (1 at K = 1), times 1/(2*(N+1)), ``n1 = N + 1``. ``k`` is one count
+    for every bin or one per bin; a bin's value has the same bits at the
+    same K either way. Every weight and weight sum is a whole number, so
+    the parabolic sum loses no digits to cancellation."""
+    norm = k
     if parabolic:
-        par = sums[1]
-        # 1/0 at K = 1, whose value is not kept, and inf - inf from an overflowed sum
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.divide(1.0, _parabolic_norm(k))
-            np.subtract(est, np.divide(par, k * k, out=par), out=par)
-            np.multiply(c, par, out=par)
-        np.divide(par, 2.0 * n1, out=par)
-    np.divide(est, 2.0 * n1 * k, out=est)
-    if parabolic:
-        np.copyto(est, par, where=k > 1)
-    return est
+        norm = np.maximum(k * (k - 1) * (4 * k + 1) // 6, 1)
+    return np.divide(sums, 2.0 * n1 * norm, out=sums)
 
 
 def combine_shifts(y, k_count, step, n1, parabolic):

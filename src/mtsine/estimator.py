@@ -178,7 +178,7 @@ def sinusoidal_estimate_fast(series, k, weights="uniform", grid=None):
         raise ValueError(f"need 1 <= K <= n, got K in [{lo:g}, {hi:g}], n={n}")
     k = k_array.astype(np.int64) if per_bin else int(k_array)
     step = grid.shift_step(n)
-    # kept until the estimate is built: freed sooner, fixed_k ran 10% slower (glibc heap reuse)
+    # kept until the estimate is built: freed sooner, fixed_k ran about 10% slower (cause unverified)
     y = dft(x, grid)
     combine = _kernels.variable_k_combine if per_bin else _kernels.combine_shifts
     values = combine(y, k, step, n + 1.0, parabolic)

@@ -158,29 +158,22 @@ def test_fixed_scale_matches_direct_sum(values, scale, parabolic):
     assert_close_to_direct(got, values, half, scale, parabolic)
 
 
-def direct_shift_sums(y, step, k_profile, g):
-    """O(m*K) reference: every bin's shift-pair sums on the full circular
-    grid, in the combines' order of operations."""
+def direct_variable_k(y, k, step, n1, parabolic):
+    """O(m*K) reference: every bin's weighted shift-pair sum on the full
+    circular grid, in the combines' order of operations, over the sum of
+    its weights: 1, or K^2 - j^2 for parabolic weights (1 at K = 1)."""
     m = y.shape[0]
-    sums = np.zeros((g.shape[0], m))
+    out = np.empty(m)
     for i in range(m):
-        for j in range(1, k_profile[i] + 1):
+        acc, total = 0.0, 0
+        for j in range(1, k[i] + 1):
             d = y[(i + j * step) % m] - y[(i - j * step) % m]
             p = d.real * d.real
             p += d.imag * d.imag
-            sums[:, i] += g[:, j - 1] * p
-    return sums
-
-
-def direct_variable_k(y, k, step, n1, parabolic):
-    """:func:`direct_shift_sums` with ``variable_k_combine``'s weighting."""
-    j = np.arange(1.0, k.max() + 1.0)
-    g = np.stack([np.ones_like(j), j * j]) if parabolic else np.ones((1, j.size))
-    sums = direct_shift_sums(y, step, k, g)
-    out = sums[0] / (2.0 * n1 * k)
-    for i in np.flatnonzero(k > 1) if parabolic else []:
-        c = 1.0 / _kernels._parabolic_norm(k[i])
-        out[i] = c * (sums[0, i] - sums[1, i] / (k[i] * k[i])) / (2.0 * n1)
+            g = 1 if not parabolic or k[i] == 1 else k[i] * k[i] - j * j
+            acc += p * g if parabolic else p
+            total += g
+        out[i] = acc / (2.0 * n1 * total)
     return out
 
 
